@@ -2,7 +2,8 @@
 
 // Internal to mxn_core: the per-connection record and the channel tag plan,
 // shared by mxn_component.cpp (establishment, transfers) and rescale.cpp
-// (elastic re-establishment after a layout splice). Not a public header.
+// (the relayout engine and re-establishment after a splice). Not a public
+// header.
 
 #include <cstdint>
 #include <memory>
@@ -23,13 +24,13 @@ namespace detail {
 inline constexpr int kProposalTag = 900;
 inline constexpr int kConnBase = 1000;
 
-// Elastic migration tag block (docs/RESCALING.md): each (rescale epoch,
-// side, field) triple gets a fresh {data, ack, commit} triplet, cycling
-// within [kMigBase, kMigBase + 64*2*64*4) — far above any realistic
-// connection count's kConnBase stream and below the PRMI reservation
-// (tags >= 2^20). Fresh per-epoch tags keep duplicated stragglers of one
-// migration out of the next one's matched streams even before the attempt
-// serials discard them.
+// Relayout migration tag block (docs/RESCALING.md), shared by rescale and
+// dead-rank recovery: each (epoch, side, field slot) gets a fresh {data,
+// ack, commit} triplet, cycling within [kMigBase, kMigBase + 64*2*64*4) —
+// far above any realistic connection count's kConnBase stream and below the
+// PRMI reservation (tags >= 2^20). Fresh per-epoch tags keep duplicated
+// stragglers of one migration out of the next one's matched streams; once
+// the block wraps, the epoch-seeded attempt serials discard them.
 inline constexpr int kMigBase = 600000;
 
 [[nodiscard]] inline int migration_tag_base(std::uint64_t epoch, int side,

@@ -98,6 +98,23 @@ struct RescaleStats {
   std::int64_t rescale_ns = 0;       // total wall time inside rescale()
 };
 
+/// What one MxNComponent::relayout() moved, in this rank's local view.
+struct RelayoutStats {
+  std::uint64_t migrated_bytes = 0;  // moved over the communicator
+  std::uint64_t local_bytes = 0;     // same-rank fast path (extract→inject)
+  std::uint64_t retries = 0;         // migration attempts that were retried
+};
+
+/// One exchange of a relayout: who sources which old cohort slot.
+/// `holders.side(s)[i]` is the rank (in the relayout communicator) that
+/// sources old slot i of side s in this exchange, or -2 when another
+/// exchange sources it. `fields[s]` maps field name to this rank's source
+/// registration for the slot it holds on side s (empty if it holds none).
+struct RelayoutExchange {
+  Layout holders;
+  std::map<std::string, FieldRegistration> fields[2];
+};
+
 /// A reliable transfer exhausted its retries without completing. The local
 /// destination field (if any) is untouched: payloads are staged and only
 /// injected after the commit phase. The connection stays established — the
@@ -279,22 +296,23 @@ class MxNComponent final : public Component, public MxNService {
   [[nodiscard]] const std::map<std::string, FieldRegistration>& fields() const {
     return fields_;
   }
-  /// Open a recovery descriptor generation: bumps the epoch counter that
-  /// stamps re-registered descriptors and keys the schedule cache, exactly
-  /// like the migrate step of rescale(). Paired with splice_recovered(),
-  /// which retires the generations before it. Elastic components only.
-  std::uint64_t begin_recovery_epoch();
-  /// Swap this component onto a recovered channel after dead ranks were
-  /// rebuilt elsewhere (RedundancyGroup::recover): replaces the channel,
-  /// re-mints the side cohorts (collective subset on the new channel),
-  /// installs the recovered field registrations, re-establishes every live
-  /// connection (descriptor re-exchange + attempt-serial alignment), and
-  /// retires the pre-recovery schedule-cache generations. `new_layout` and
-  /// `new_regs` use the NEW channel's rank numbering; the data migration has
-  /// already happened by the time this is called. Collective over the new
-  /// channel.
-  void splice_recovered(rt::Communicator new_channel, Layout new_layout,
-                        std::map<std::string, FieldRegistration> new_regs);
+  /// The relayout engine behind rescale() and RedundancyGroup::recover().
+  /// Opens the next descriptor generation, migrates every field of both
+  /// sides from the old slots' holders onto `new_layout`, and splices the
+  /// component onto `comm`: side cohorts re-minted with subset, field
+  /// registrations swapped, live connections re-established, the previous
+  /// schedule-cache generation retired. Collective over every rank of
+  /// `comm`; `exchanges` and `new_layout` use its numbering, and
+  /// `new_fields` means what it means for rescale(). `exchanges` run in
+  /// order: a rescale passes one, where every old member holds its own slot;
+  /// a recovery adds one in which proxies hold dead ranks' slots. Each
+  /// exchange gets `1 + max_retries` attempts with a per-receive deadline of
+  /// `attempt_timeout_ms`. No epoch fence: the caller has quiesced `comm`.
+  RelayoutStats relayout(rt::Communicator comm,
+                         const std::vector<RelayoutExchange>& exchanges,
+                         const Layout& new_layout,
+                         std::vector<FieldRegistration> new_fields,
+                         int attempt_timeout_ms, int max_retries);
 
  private:
   struct Connection;
@@ -303,14 +321,6 @@ class MxNComponent final : public Component, public MxNService {
   ConnectionId establish_impl(const ConnectionSpec& spec);
   ConnectionId establish_elastic(const ConnectionSpec& spec);
   void run_transfer(Connection& c);
-  /// Channel-collective broadcast of a descriptor from `root_channel_rank`
-  /// (which packs `mine`; other ranks pass null and unpack the result).
-  dad::DescriptorPtr bcast_descriptor(int root_channel_rank,
-                                      const dad::DescriptorPtr& mine);
-  void migrate_side(int s, const Layout& old_layout, const Layout& new_layout,
-                    std::map<std::string, FieldRegistration>& incoming,
-                    std::map<std::string, FieldRegistration>& new_regs,
-                    int new_side, int timeout_ms, int max_retries);
   void reestablish_connections();
 
   rt::Communicator channel_;

@@ -8,11 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/reliable_exchange.hpp"
 #include "dad/dist_array.hpp"
 #include "rt/serialize.hpp"
-#include "sched/coupling.hpp"
-#include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
 // Erasure-coded state redundancy (docs/REDUNDANCY.md): the shuffile/redset
@@ -21,9 +18,10 @@
 // (each member's chunks live only in OTHER members' parity blocks, so any
 // single death per group is recoverable); recover() reassembles dead ranks'
 // blobs at proxy survivors and redistributes everything onto a caller-chosen
-// layout with the same delta-schedule + two-phase reliable exchange
-// machinery the elastic rescale uses — rebuilding onto a replacement or a
-// shrunken cohort is exactly a redistribution onto a new layout.
+// layout through MxNComponent::relayout, the engine the elastic rescale
+// uses — rebuilding onto a replacement or a shrunken cohort is exactly a
+// redistribution onto a new layout whose source for a dead slot is a
+// rebuilt blob.
 
 namespace mxn::redundancy {
 
@@ -73,19 +71,10 @@ namespace {
 // encode composes with live couplings. Data, acks and done markers share the
 // tag and are told apart by a leading type byte.
 constexpr int kRedTag = 710000;
-// Rebuild-migration exchanges run on the freshly minted live communicator
-// (fresh mailboxes — no residue possible); 4 tags per exchange.
-constexpr int kRedMigBase = 660000;
 
 constexpr std::uint8_t kMsgData = 0;
 constexpr std::uint8_t kMsgAck = 1;
 constexpr std::uint8_t kMsgDone = 2;
-
-int index_of(int v, const std::vector<int>& xs) {
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    if (xs[i] == v) return static_cast<int>(i);
-  return -1;
-}
 
 /// Partition the member channel ranks of both sides (ascending) into partner
 /// groups of `m`; a trailing singleton folds into its predecessor so every
@@ -112,7 +101,7 @@ std::vector<std::vector<int>> make_groups(const Layout& layout, int m) {
 const std::vector<int>* group_containing(
     const std::vector<std::vector<int>>& groups, int rank) {
   for (const auto& g : groups)
-    if (index_of(rank, g) >= 0) return &g;
+    if (std::ranges::find(g, rank) != g.end()) return &g;
   return nullptr;
 }
 
@@ -189,21 +178,20 @@ detail::PeerHeader unpack_meta(std::span<const std::byte> bytes,
 
 /// Read-only FieldRegistration over a serialized blob: extract() mirrors
 /// DistArray::extract but sources rows from `blob` at the field's offset,
-/// using `desc`'s ownership map for cohort slot `cohort_rank`. This is how
-/// both survivor snapshots and rebuilt dead-rank blobs feed the reliable
-/// migration exchanges.
+/// using the field's ownership map for cohort slot `cohort_rank`. This is
+/// how both survivor snapshots and rebuilt dead-rank blobs feed the
+/// relayout.
 FieldRegistration blob_backed_field(const detail::FieldMeta& fm,
-                                    const dad::DescriptorPtr& desc,
                                     int cohort_rank, Buffer blob) {
   FieldRegistration f;
   f.name = fm.name;
-  f.descriptor = desc;
+  f.descriptor = fm.descriptor;
   f.elem_size = static_cast<std::size_t>(fm.elem_size);
   f.mode = core::AccessMode::Read;
   const std::uint64_t off = fm.offset;
   const std::uint64_t elem = fm.elem_size;
-  f.extract = [desc, cohort_rank, blob = std::move(blob), off, elem](
-                  const dad::Patch& region, std::byte* out) {
+  f.extract = [desc = fm.descriptor, cohort_rank, blob = std::move(blob), off,
+               elem](const dad::Patch& region, std::byte* out) {
     const std::size_t pi = desc->patch_containing(cohort_rank, region);
     const dad::Patch& owned = desc->patches_of(cohort_rank)[pi];
     const dad::Index base = desc->patch_base(cohort_rank, pi);
@@ -219,42 +207,6 @@ FieldRegistration blob_backed_field(const detail::FieldMeta& fm,
   };
   return f;
 }
-
-std::vector<std::string> bcast_names(rt::Communicator& ch, int root,
-                                     const std::vector<std::string>& mine) {
-  rt::PackBuffer b;
-  if (ch.rank() == root) b.pack(mine);
-  auto bytes = ch.bcast(std::move(b).take_buffer(), root);
-  rt::UnpackBuffer u(bytes);
-  return u.unpack_string_vector();
-}
-
-dad::DescriptorPtr bcast_descriptor(rt::Communicator& ch, int root,
-                                    const dad::DescriptorPtr& mine) {
-  rt::PackBuffer b;
-  if (ch.rank() == root) {
-    if (!mine)
-      throw UsageError("redundancy: descriptor broadcast root lacks the "
-                       "descriptor");
-    mine->pack(b);
-  }
-  auto bytes = ch.bcast(std::move(b).take_buffer(), root);
-  rt::UnpackBuffer u(bytes);
-  return std::make_shared<const dad::Descriptor>(dad::Descriptor::unpack(u));
-}
-
-const detail::FieldMeta* find_meta(const std::vector<detail::FieldMeta>& fs,
-                                   const std::string& name) {
-  for (const auto& f : fs)
-    if (f.name == name) return &f;
-  return nullptr;
-}
-
-/// One dead rank's blob, reassembled at its proxy survivor.
-struct Rebuilt {
-  Buffer blob;
-  detail::PeerHeader hdr;
-};
 
 }  // namespace
 
@@ -284,6 +236,9 @@ bool RedundancyGroup::encoded() const {
 EncodeStats RedundancyGroup::encode() {
   auto& comp = *component_;
   if (!comp.is_member()) {
+    // Keep the epoch in step with the members: a later rescale may admit
+    // this rank, and partners drop (and are filtered by) other epochs.
+    ++epoch_;
     state_.reset();
     return {};
   }
@@ -300,7 +255,8 @@ EncodeStats RedundancyGroup::encode() {
   st->epoch = ++epoch_;
   st->layout = layout;
   st->group = *g;
-  st->my_pos = index_of(channel.rank(), st->group);
+  st->my_pos = static_cast<int>(
+      std::ranges::find(st->group, channel.rank()) - st->group.begin());
   st->my_side = comp.side();
   st->my_cohort = comp.cohort().rank();
 
@@ -510,303 +466,6 @@ EncodeStats RedundancyGroup::encode() {
 
 // --- recover ----------------------------------------------------------------
 
-namespace {
-
-/// Migrate one side's fields from the encode-time snapshots (survivors) and
-/// rebuilt blobs (dead ranks, via their proxies) onto the new layout over
-/// the live communicator. Mirrors MxNComponent::migrate_side, with one
-/// reliable exchange for the surviving slots plus one per dead slot (a
-/// channel rank can play only one source role per exchange, so each proxy
-/// impersonates one dead cohort slot per exchange). `tag_counter` advances
-/// identically on every live rank — participants and spectators alike — so
-/// tag assignment needs no extra agreement round.
-void migrate_recovered_side(
-    core::MxNComponent& comp, int s, const Layout& old_layout,
-    const Layout& new_layout_old, const std::vector<int>& live_of_old,
-    rt::Communicator& live, int me_old,
-    const std::vector<int>& dead_members,
-    const std::map<int, Rebuilt>& rebuilt,
-    const std::map<int, int>& proxy_of, detail::EncodeState* state,
-    std::uint64_t repoch, std::map<std::string, FieldRegistration>& incoming,
-    std::map<std::string, FieldRegistration>& new_regs, int new_side,
-    int timeout_ms, int max_retries, int& tag_counter, RecoverStats& stats) {
-  const std::vector<int>& old_ranks = old_layout.side(s);
-  const std::vector<int>& new_ranks = new_layout_old.side(s);
-  const int my_old = comp.side() == s ? comp.cohort().rank() : -1;
-  const int my_new = new_side == s ? index_of(me_old, new_ranks) : -1;
-  // Per-attempt timeout slice: the retry chain as a whole gets roughly
-  // `timeout_ms`, not `timeout_ms` per attempt — a rank burning a full
-  // budget on each failed attempt would lag the collective splice
-  // rendezvous its peers are already waiting in.
-  const int attempts = 1 + std::max(0, max_retries);
-  const int slice = std::max(200, timeout_ms / attempts);
-
-  std::vector<int> side_dead;
-  for (int r : old_ranks)
-    if (index_of(r, dead_members) >= 0) side_dead.push_back(r);
-
-  // The side's field-name list: from its first LIVE old member, or — when
-  // the whole side died — from the proxy of its first dead rank, which
-  // holds the side's metadata in its stored group headers.
-  int old_root_old = -1;
-  for (int r : old_ranks)
-    if (live_of_old[static_cast<std::size_t>(r)] >= 0) {
-      old_root_old = r;
-      break;
-    }
-  const int names_root_live =
-      old_root_old >= 0 ? live_of_old[static_cast<std::size_t>(old_root_old)]
-                        : proxy_of.at(side_dead.front());
-  const detail::PeerHeader* root_hdr = nullptr;
-  if (old_root_old < 0 && live.rank() == names_root_live)
-    root_hdr = &state->peers.at(side_dead.front());
-
-  std::vector<std::string> names;
-  if (live.rank() == names_root_live) {
-    if (root_hdr != nullptr) {
-      for (const auto& f : root_hdr->fields) names.push_back(f.name);
-    } else {
-      for (const auto& [n, f] : comp.fields()) names.push_back(n);
-    }
-  }
-  names = bcast_names(live, names_root_live, names);
-
-  const int new_root_live =
-      live_of_old[static_cast<std::size_t>(new_ranks[0])];
-  std::vector<std::uint8_t> flags(names.size(), 0);
-  if (live.rank() == new_root_live)
-    for (std::size_t i = 0; i < names.size(); ++i)
-      flags[i] = incoming.count(names[i]) ? 1 : 0;
-  flags = live.bcast_vector(std::move(flags), new_root_live);
-
-  static trace::Counter& mig_bytes =
-      trace::counter("redundancy.migrated_bytes");
-  static trace::Counter& mig_retries = trace::counter("redundancy.retries");
-  static trace::Counter& loc_bytes = trace::counter("redundancy.local_bytes");
-
-  for (std::size_t fi = 0; fi < names.size(); ++fi) {
-    const std::string& name = names[fi];
-    const bool has_new = flags[fi] != 0;
-    if (my_new >= 0 && (incoming.count(name) != 0) != has_new)
-      throw UsageError("recover: re-registration of field '" + name +
-                       "' disagrees across the new cohort");
-    if (!has_new) {
-      // Kept field: legal only when the side kept its exact rank list —
-      // which implies it lost no rank, since the new list is all-live.
-      if (old_ranks != new_ranks)
-        throw UsageError("recover: field '" + name +
-                         "' was not re-registered but side " +
-                         std::to_string(s) + "'s rank list changed");
-      if (my_new >= 0) new_regs.emplace(name, comp.fields().at(name));
-      continue;
-    }
-
-    // Element size and descriptor agreement over live-comm collectives
-    // (reserved negative tags: fault-exempt). The old descriptor comes from
-    // the names root — a live old member's registration, or a proxy's
-    // stored header when the side lost every member.
-    const detail::FieldMeta* root_meta =
-        root_hdr != nullptr ? find_meta(root_hdr->fields, name) : nullptr;
-    const auto old_elem = live.bcast_value<std::uint64_t>(
-        live.rank() == names_root_live
-            ? (root_meta != nullptr ? root_meta->elem_size
-                                    : comp.fields().at(name).elem_size)
-            : 0,
-        names_root_live);
-    const auto new_elem = live.bcast_value<std::uint64_t>(
-        live.rank() == new_root_live ? incoming.at(name).elem_size : 0,
-        new_root_live);
-    if (old_elem != new_elem)
-      throw UsageError("recover: field '" + name +
-                       "' changes element size across the recovery");
-    dad::DescriptorPtr old_mine;
-    if (live.rank() == names_root_live)
-      old_mine = root_meta != nullptr ? root_meta->descriptor
-                                      : comp.fields().at(name).descriptor;
-    const dad::DescriptorPtr old_desc =
-        bcast_descriptor(live, names_root_live, old_mine);
-    dad::DescriptorPtr new_stamped;
-    if (my_new >= 0)
-      new_stamped = std::make_shared<const dad::Descriptor>(
-          incoming.at(name).descriptor->with_version(repoch));
-    const dad::DescriptorPtr new_desc =
-        bcast_descriptor(live, new_root_live, new_stamped);
-    if (my_new >= 0 && !(*new_desc == *new_stamped))
-      throw UsageError("recover: field '" + name +
-                       "' is registered with different descriptors across "
-                       "the new cohort");
-    if (!old_desc->same_shape(*new_desc))
-      throw UsageError("recover: field '" + name +
-                       "' changes shape across the recovery");
-
-    // Channel-rank maps for the delta schedules, in LIVE numbering. Dead
-    // slots map to -2: build_delta_schedule would otherwise classify a
-    // dead-sourced region as mirrored-local (and silently drop it) whenever
-    // the slot aliased a live rank.
-    std::vector<int> from1(old_ranks.size());
-    for (std::size_t i = 0; i < old_ranks.size(); ++i) {
-      const int lr = live_of_old[static_cast<std::size_t>(old_ranks[i])];
-      from1[i] = lr >= 0 ? lr : -2;
-    }
-    std::vector<int> to1(new_ranks.size());
-    for (std::size_t i = 0; i < new_ranks.size(); ++i)
-      to1[i] = live_of_old[static_cast<std::size_t>(new_ranks[i])];
-
-    const FieldRegistration* newf =
-        my_new >= 0 ? &incoming.at(name) : nullptr;
-    if (newf != nullptr && !newf->inject)
-      throw UsageError("recover: field '" + name +
-                       "' is read-only; cannot restore into it");
-
-    // Exchange 1: surviving old slots -> new slots, sourced from the
-    // encode-time snapshots (recover restores the snapshot state — see
-    // docs/REDUNDANCY.md). Recvs from dead slots are deferred to the
-    // per-dead exchanges below.
-    FieldRegistration snap_src;
-    const int tag1 = kRedMigBase + 4 * tag_counter++;
-    if (my_old >= 0 || my_new >= 0) {
-      sched::DeltaSchedule delta = sched::build_delta_schedule(
-          *old_desc, *new_desc, my_old, my_new, from1, to1);
-      sched::RegionSchedule wire;
-      wire.sends = std::move(delta.wire.sends);
-      for (auto& pr : delta.wire.recvs)
-        if (from1[static_cast<std::size_t>(pr.peer)] >= 0)
-          wire.recvs.push_back(std::move(pr));
-      if (my_old >= 0) {
-        const detail::FieldMeta* fm = find_meta(state->my_fields, name);
-        if (fm == nullptr)
-          throw UsageError("recover: field '" + name +
-                           "' has no snapshot in the encode epoch");
-        snap_src = blob_backed_field(*fm, old_desc, my_old, state->blob);
-      }
-      if (delta.local_elements > 0) {
-        std::vector<std::byte> buf;
-        for (const auto& region : delta.local) {
-          buf.resize(static_cast<std::size_t>(region.volume()) * old_elem);
-          snap_src.extract(region, buf.data());
-          newf->inject(region, buf.data());
-        }
-        const std::uint64_t lb =
-            static_cast<std::uint64_t>(delta.local_elements) * old_elem;
-        stats.local_bytes += lb;
-        loc_bytes.add(lb);
-      }
-      if (!wire.sends.empty() || !wire.recvs.empty()) {
-        sched::Coupling cpl;
-        cpl.channel = live;
-        cpl.src_ranks = from1;
-        cpl.dst_ranks = to1;
-        cpl.recv_timeout_ms = slice;
-        core::ReliableExchange x;
-        x.schedule = &wire;
-        x.src = my_old >= 0 ? &snap_src : nullptr;
-        x.dst = newf;
-        x.coupling = &cpl;
-        x.data_tag = tag1;
-        x.ack_tag = tag1 + 1;
-        x.commit_tag = tag1 + 2;
-        x.timeout_ms = slice;
-        std::uint64_t serial = 0;
-        x.serial = &serial;
-        bool ok = false;
-        for (int a = 0; a < attempts && !ok; ++a) {
-          if (a > 0) mig_retries.add(1);
-          if (const auto moved = core::run_reliable_attempt(x)) {
-            stats.migrated_bytes += moved->bytes;
-            mig_bytes.add(moved->bytes);
-            ok = true;
-          }
-        }
-        if (!ok)
-          throw core::TransferError(
-              "recover: migration of field '" + name + "' (side " +
-              std::to_string(s) + ") failed after " +
-              std::to_string(attempts) + " attempts");
-      }
-    }
-
-    // One exchange per dead slot: the proxy survivor impersonates the dead
-    // rank's cohort slot and sources its regions from the rebuilt blob.
-    for (int dk : side_dead) {
-      const int d_cohort = index_of(dk, old_ranks);
-      const int proxy_live = proxy_of.at(dk);
-      const bool me_proxy = live.rank() == proxy_live;
-      const int tag2 = kRedMigBase + 4 * tag_counter++;
-      if (!me_proxy && my_new < 0) continue;
-      const int my_from2 = me_proxy ? d_cohort : -1;
-      std::vector<int> from2(old_ranks.size(), -2);
-      from2[static_cast<std::size_t>(d_cohort)] = proxy_live;
-      sched::DeltaSchedule delta2 = sched::build_delta_schedule(
-          *old_desc, *new_desc, my_from2, my_new, from2, to1);
-      sched::RegionSchedule wire2;
-      wire2.sends = std::move(delta2.wire.sends);
-      for (auto& pr : delta2.wire.recvs)
-        if (pr.peer == d_cohort) wire2.recvs.push_back(std::move(pr));
-      FieldRegistration dead_src;
-      if (me_proxy) {
-        const Rebuilt& rb = rebuilt.at(dk);
-        const detail::FieldMeta* fm = find_meta(rb.hdr.fields, name);
-        if (fm == nullptr)
-          throw UsageError("recover: dead rank's snapshot lacks field '" +
-                           name + "'");
-        dead_src = blob_backed_field(*fm, old_desc, d_cohort, rb.blob);
-      }
-      if (delta2.local_elements > 0) {
-        std::vector<std::byte> buf;
-        for (const auto& region : delta2.local) {
-          buf.resize(static_cast<std::size_t>(region.volume()) * old_elem);
-          dead_src.extract(region, buf.data());
-          newf->inject(region, buf.data());
-        }
-        const std::uint64_t lb =
-            static_cast<std::uint64_t>(delta2.local_elements) * old_elem;
-        stats.local_bytes += lb;
-        loc_bytes.add(lb);
-      }
-      if (wire2.sends.empty() && wire2.recvs.empty()) continue;
-      sched::Coupling cpl2;
-      cpl2.channel = live;
-      cpl2.src_ranks = from2;
-      cpl2.dst_ranks = to1;
-      cpl2.recv_timeout_ms = slice;
-      core::ReliableExchange x2;
-      x2.schedule = &wire2;
-      x2.src = me_proxy ? &dead_src : nullptr;
-      x2.dst = newf;
-      x2.coupling = &cpl2;
-      x2.data_tag = tag2;
-      x2.ack_tag = tag2 + 1;
-      x2.commit_tag = tag2 + 2;
-      x2.timeout_ms = slice;
-      std::uint64_t serial2 = 0;
-      x2.serial = &serial2;
-      bool ok = false;
-      for (int a = 0; a < attempts && !ok; ++a) {
-        if (a > 0) mig_retries.add(1);
-        if (const auto moved = core::run_reliable_attempt(x2)) {
-          stats.migrated_bytes += moved->bytes;
-          mig_bytes.add(moved->bytes);
-          ok = true;
-        }
-      }
-      if (!ok)
-        throw core::TransferError(
-            "recover: rebuilt-state migration of field '" + name +
-            "' (dead rank " + std::to_string(dk) + ") failed after " +
-            std::to_string(attempts) + " attempts");
-    }
-
-    if (my_new >= 0) {
-      FieldRegistration reg = std::move(incoming.at(name));
-      reg.descriptor = new_desc;  // stamped, live-comm-agreed copy
-      new_regs.emplace(name, std::move(reg));
-      incoming.erase(name);
-    }
-  }
-}
-
-}  // namespace
-
 RecoverStats RedundancyGroup::recover(
     const Layout& new_layout, std::vector<FieldRegistration> new_fields,
     int timeout_ms, int max_retries) {
@@ -867,8 +526,8 @@ RecoverStats RedundancyGroup::recover(
                          std::to_string(r));
 
   // 3. Parity coverage. Every live MEMBER must hold an encode epoch for the
-  // current layout, and the epochs must agree (encode is member-collective,
-  // so they do unless a member skipped one).
+  // current layout, and the epochs must agree (every channel rank calls
+  // encode, so they do unless a member skipped one).
   const Layout old_layout = comp.layout();
   const bool covered = comp.is_member() && state_ != nullptr &&
                        state_->layout.side0 == old_layout.side0 &&
@@ -916,26 +575,53 @@ RecoverStats RedundancyGroup::recover(
     proxy_of[d] = live_of_old[static_cast<std::size_t>(survivors.front())];
   }
 
-  // 5. Rebuild each dead member's blob at its proxy: survivors of its group
+  // 5. Who sources which old slot in the relayout, in live numbering.
+  // Exchange 0: every survivor holds its own slot, sourced from its
+  // encode-time snapshot (recover restores the snapshot state — see
+  // docs/REDUNDANCY.md). Exchange 1: each proxy holds its dead rank's slot,
+  // sourced from the blob rebuilt below. A proxy stands in only for the
+  // one dead member of its own parity group, so no rank holds two slots in
+  // one exchange.
+  std::vector<core::RelayoutExchange> exchanges(2);
+  for (int s = 0; s < 2; ++s) {
+    auto& own =
+        s == 0 ? exchanges[0].holders.side0 : exchanges[0].holders.side1;
+    auto& adopted =
+        s == 0 ? exchanges[1].holders.side0 : exchanges[1].holders.side1;
+    for (int r : old_layout.side(s)) {
+      const int lr = live_of_old[static_cast<std::size_t>(r)];
+      own.push_back(lr >= 0 ? lr : -2);
+      adopted.push_back(lr >= 0 ? -2 : proxy_of.at(r));
+    }
+  }
+  if (dead_members.empty()) exchanges.pop_back();
+  if (comp.is_member())
+    for (const auto& fm : state_->my_fields)
+      exchanges[0].fields[state_->my_side].emplace(
+          fm.name, blob_backed_field(fm, state_->my_cohort, state_->blob));
+
+  // 6. Rebuild each dead member's blob at its proxy: survivors of its group
   // re-shuffle the chunks their parities consumed at encode, XOR them out,
   // and ship the recovered chunks to the proxy for reassembly. Collectives
   // on the live comm (alltoall: fault-exempt reserved tags), one round per
   // dead member, every live rank participating (empty payloads outside the
   // group).
-  std::map<int, Rebuilt> rebuilt;
   static trace::Counter& rebuilt_ctr =
       trace::counter("redundancy.rebuilt_bytes");
   for (int d : dead_members) {
     const std::vector<int>& g = *group_containing(groups, d);
     const int m = static_cast<int>(g.size());
-    const int pd = index_of(d, g);
+    const int pd = static_cast<int>(std::ranges::find(g, d) - g.begin());
     std::vector<int> survivors;
     for (int r : g)
       if (live_of_old[static_cast<std::size_t>(r)] >= 0)
         survivors.push_back(r);
     const int proxy_live = proxy_of.at(d);
-    const bool i_survive = index_of(me_old, survivors) >= 0;
-    const int my_pos = i_survive ? index_of(me_old, g) : -1;
+    const bool i_survive =
+        std::ranges::find(survivors, me_old) != survivors.end();
+    const int my_pos =
+        i_survive ? static_cast<int>(std::ranges::find(g, me_old) - g.begin())
+                  : -1;
 
     // Phase A: survivor pair shuffle (shuffile: move surviving blocks to
     // where the rebuild needs them). Survivor j sends each other survivor h
@@ -945,7 +631,8 @@ RecoverStats RedundancyGroup::recover(
       const ChunkGeom gmine = geom(state_->blob.size(), m);
       for (int h_old : survivors) {
         if (h_old == me_old) continue;
-        const int ph = index_of(h_old, g);
+        const int ph =
+            static_cast<int>(std::ranges::find(g, h_old) - g.begin());
         const int c = (ph - my_pos - 1 + m) % m;
         const auto [coff, clen] = gmine.chunk(c);
         rt::PackBuffer b;
@@ -1015,62 +702,38 @@ RecoverStats RedundancyGroup::recover(
         const auto len = u.unpack<std::uint64_t>();
         place(c, u.unpack_raw(len));
       }
-      Rebuilt rb;
-      rb.blob = Buffer(std::move(blob));
-      rb.hdr = hdr;
+      const Buffer rebuilt(std::move(blob));
+      for (const auto& fm : hdr.fields)
+        exchanges[1].fields[hdr.side].emplace(
+            fm.name, blob_backed_field(fm, hdr.cohort_rank, rebuilt));
       stats.rebuilt_bytes += hdr.blob_size;
       rebuilt_ctr.add(hdr.blob_size);
-      rebuilt.emplace(d, std::move(rb));
     }
   }
 
-  // 6. Redistribute everything onto the new layout: snapshot state from
-  // survivors, rebuilt blobs from proxies. Same flow as a rescale migration,
-  // but over the live comm and with per-dead-slot exchanges.
-  const std::uint64_t repoch = comp.begin_recovery_epoch();
-  const int new_side_old = new_layout.side_of(me_old);
-  std::map<std::string, FieldRegistration> incoming;
-  for (auto& f : new_fields) {
-    if (new_side_old < 0)
-      throw UsageError("recover: ranks that are spectators under the new "
-                       "layout must not pass field registrations");
-    if (f.name.empty()) throw UsageError("field name must not be empty");
-    if (!f.descriptor) throw UsageError("field needs a descriptor");
-    if (f.elem_size == 0) throw UsageError("field elem_size must be > 0");
-    const auto new_cohort_size =
-        static_cast<int>(new_layout.side(new_side_old).size());
-    if (f.descriptor->nranks() != new_cohort_size)
-      throw UsageError("recover: field '" + f.name + "' is decomposed over " +
-                       std::to_string(f.descriptor->nranks()) +
-                       " ranks but the new side has " +
-                       std::to_string(new_cohort_size));
-    const std::string name = f.name;
-    if (!incoming.emplace(name, std::move(f)).second)
-      throw UsageError("recover: field '" + name + "' passed twice");
-  }
-
-  std::map<std::string, FieldRegistration> new_regs;
-  int tag_counter = 0;
-  for (int s = 0; s < 2; ++s)
-    migrate_recovered_side(comp, s, old_layout, new_layout, live_of_old, live,
-                           me_old, dead_members, rebuilt, proxy_of,
-                           state_.get(), repoch, incoming, new_regs,
-                           new_side_old, eff_timeout, eff_retries,
-                           tag_counter, stats);
-  if (!incoming.empty())
-    throw UsageError("recover: field '" + incoming.begin()->first +
-                     "' is not a currently registered field of this rank's "
-                     "new side");
-
-  // 7. Splice: translate the layout into the live comm's numbering and swap
-  // the component onto it (subset cohorts, connection re-establishment,
-  // schedule-cache retirement).
+  // 7. Relayout onto the new layout over the live communicator. The
+  // per-attempt timeout is a slice of `timeout_ms`: the retry chain as a
+  // whole gets roughly `timeout_ms`, not `timeout_ms` per attempt — a rank
+  // burning a full budget on each failed attempt would lag the collective
+  // splice rendezvous its peers are already waiting in.
   Layout live_layout;
   for (int r : new_layout.side0)
     live_layout.side0.push_back(live_of_old[static_cast<std::size_t>(r)]);
   for (int r : new_layout.side1)
     live_layout.side1.push_back(live_of_old[static_cast<std::size_t>(r)]);
-  comp.splice_recovered(live, std::move(live_layout), std::move(new_regs));
+  const int slice = std::max(200, eff_timeout / (1 + std::max(0, eff_retries)));
+  const core::RelayoutStats moved =
+      comp.relayout(live, exchanges, live_layout, std::move(new_fields), slice,
+                    eff_retries);
+  stats.migrated_bytes = moved.migrated_bytes;
+  stats.local_bytes = moved.local_bytes;
+  static trace::Counter& mig_bytes =
+      trace::counter("redundancy.migrated_bytes");
+  static trace::Counter& loc_bytes = trace::counter("redundancy.local_bytes");
+  static trace::Counter& mig_retries = trace::counter("redundancy.retries");
+  mig_bytes.add(moved.migrated_bytes);
+  loc_bytes.add(moved.local_bytes);
+  mig_retries.add(moved.retries);
 
   // The encode epoch covered the pre-recovery layout; it is spent.
   state_.reset();

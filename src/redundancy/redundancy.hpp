@@ -58,9 +58,10 @@ struct EncodeState;
 
 /// Erasure-coded state redundancy for one MxNComponent (docs/REDUNDANCY.md).
 ///
-///   encode()  — member-collective snapshot: each member packs its locally
-///               owned patches of every registered field into one pooled
-///               rt::Buffer blob, splits the blob into m-1 chunks and sends
+///   encode()  — called by EVERY channel rank (spectators no-op): each
+///               member packs its locally owned patches of every registered
+///               field into one pooled rt::Buffer blob, splits the blob into
+///               m-1 chunks and sends
 ///               chunk c to the partner at group position (pos + 1 + c) % m,
 ///               which XORs it (zero-extended) into its parity block. Runs
 ///               on a dedicated tag with ack/retry/dedup delivery, so it
@@ -70,10 +71,10 @@ struct EncodeState;
 ///               after the universe reports rank death: survivors rendezvous
 ///               via Communicator::split_live, shuffle their surviving
 ///               chunks, XOR-reconstruct each dead rank's blob at a proxy
-///               survivor, migrate all state onto the caller-chosen new
-///               layout (delta schedules + two-phase reliable exchanges,
-///               sourcing dead ranks' regions from the rebuilt blobs), and
-///               splice the component onto the live communicator.
+///               survivor, and relayout the component onto the caller-chosen
+///               new layout over the live communicator
+///               (MxNComponent::relayout, the engine rescale uses, with dead
+///               ranks' slots sourced from the rebuilt blobs).
 ///
 /// One RedundancyGroup instance per rank per component, same as the
 /// component itself (SPMD).
@@ -86,10 +87,12 @@ class RedundancyGroup {
   RedundancyGroup(const RedundancyGroup&) = delete;
   RedundancyGroup& operator=(const RedundancyGroup&) = delete;
 
-  /// Snapshot + parity-distribute this rank's registered fields. Collective
-  /// over the component's MEMBER ranks (both sides); spectator ranks may
-  /// call it and no-op. Each call opens a new encode epoch that supersedes
-  /// the previous one; recover() rebuilds from the latest epoch only.
+  /// Snapshot + parity-distribute this rank's registered fields. EVERY
+  /// channel rank calls it: members (both sides) exchange parity, spectator
+  /// ranks no-op but advance their epoch counter, so a spectator that a
+  /// later rescale admits encodes in step with its partners. Each call
+  /// opens a new encode epoch that supersedes the previous one; recover()
+  /// rebuilds from the latest epoch only.
   /// Requires every registered field to be readable (a write-only field
   /// cannot be snapshotted) and at least 2 member ranks.
   EncodeStats encode();

@@ -523,6 +523,57 @@ TEST(RescaleChaos, MidStreamUnderDupReorderDelayChaos) {
   }
 }
 
+TEST(RescaleChaos, MigrationTagWrapDrainsOldStragglers) {
+  // The migration tag block wraps every 64 epochs. Seventy side swaps under
+  // duplication leave duplicated migration messages queued on tags a later
+  // epoch reuses; the epoch-seeded attempt serial must drain them as stale
+  // instead of staging them as current data. Each epoch refills the field
+  // with epoch-stamped values, so a staged straggler shows as a wrong value.
+  constexpr int kEpochs = 70;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    rt::spawn(
+        4,
+        [](rt::Communicator& world) {
+          const int me = world.rank();
+          const core::Layout a{{0, 1}, {2, 3}};
+          const core::Layout b{{2, 3}, {0, 1}};
+          auto comp = core::make_elastic_mxn(world, a);
+          auto array_for = [&](const core::Layout& l) {
+            const int s = l.side_of(me);
+            return std::make_unique<dad::DistArray<double>>(
+                desc_for(s, 2), index_in(l.side(s), me));
+          };
+          auto arr = array_for(a);
+          comp->register_field(
+              core::make_field("f", arr.get(), core::AccessMode::ReadWrite));
+          int first_bad = -1;
+          for (int e = 1; e <= kEpochs; ++e) {
+            const double stamp = 1000.0 * e;
+            arr->fill([&](const Point& p) { return value_at(p) + stamp; });
+            const core::Layout& next_layout = e % 2 != 0 ? b : a;
+            auto next = array_for(next_layout);
+            std::vector<core::FieldRegistration> regs;
+            regs.push_back(
+                core::make_field("f", next.get(), core::AccessMode::ReadWrite));
+            comp->rescale(next_layout, std::move(regs), /*timeout_ms=*/1000,
+                          /*max_retries=*/2);
+            arr = std::move(next);
+            arr->for_each_owned([&](const Point& p, const double& v) {
+              if (v != value_at(p) + stamp && first_bad < 0) first_bad = e;
+            });
+          }
+          EXPECT_EQ(first_bad, -1) << "rank " << me;
+        },
+        {.deadlock_timeout_ms = 10000,
+         .default_recv_timeout_ms = 2000,
+         .faults = rt::FaultPlan{.seed = seed,
+                                 .dup = 0.3,
+                                 .reorder = 0.2,
+                                 .min_tag = 900}});
+  }
+}
+
 TEST(RescaleChaos, ExactlyOncePrmiUnderDropAndDup) {
   // Same mid-stream rescale sequence, with loss-ful chaos (5% drop + 5%
   // dup) scoped to the PRMI invocation tags (>= 2^20). The epoch-keyed
