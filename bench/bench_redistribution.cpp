@@ -13,6 +13,7 @@
 // counter, which counts payload construction and staging copies but not the
 // final inject) and emits BENCH_redistribution.json for CI to archive.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -236,6 +237,73 @@ KernelCase run_kernel_case(const char* name, Index block_len,
   return kc;
 }
 
+/// bulk_stream's source side as a region copy: a 256x512-double row block
+/// cut into 8-column regions, each region a 256-row train of 64-byte rows.
+/// The scalar arm is the per-row memcpy walk region copies used before
+/// dad::gather_region/scatter_region emitted each region as one train.
+KernelCase run_region_case(const char* name, bool unpacking) {
+  constexpr Index kRows = 256, kCols = 512, kColBlock = 8;
+  const dad::Patch owned =
+      dad::Patch::make(2, Point{0, 0}, Point{kRows, kCols});
+  std::vector<dad::Patch> regions;
+  for (Index c = 0; c < kCols; c += kColBlock)
+    regions.push_back(
+        dad::Patch::make(2, Point{0, c}, Point{kRows, c + kColBlock}));
+  std::vector<double> storage(static_cast<std::size_t>(kRows * kCols));
+  for (std::size_t i = 0; i < storage.size(); ++i)
+    storage[i] = double(i) * 0.5;
+  std::vector<double> buf(storage.size());
+  auto per_row = [&] {
+    auto* b = reinterpret_cast<std::byte*>(buf.data());
+    for (const auto& r : regions) {
+      const auto row_bytes =
+          static_cast<std::size_t>(r.extent(1)) * sizeof(double);
+      for (Point row = r.lo; row[0] < r.hi[0]; ++row[0], b += row_bytes) {
+        auto* s = reinterpret_cast<std::byte*>(storage.data() +
+                                               owned.offset_of(row));
+        if (unpacking)
+          std::memcpy(s, b, row_bytes);
+        else
+          std::memcpy(b, s, row_bytes);
+      }
+    }
+  };
+  auto trains = [&] {
+    double* b = buf.data();
+    for (const auto& r : regions) {
+      if (unpacking)
+        dad::scatter_region(owned, 0, r, storage.data(), b, sizeof(double));
+      else
+        dad::gather_region(owned, 0, r, storage.data(), b, sizeof(double));
+      b += r.volume();
+    }
+  };
+  // The arms alternate rep by rep and each keeps its median rep, so a burst
+  // of host contention lands on both arms alike instead of on one of them.
+  std::vector<double> row_s, train_s;
+  auto timed = [](auto&& fn, std::vector<double>& out) {
+    const double t0 = bench::now_s();
+    fn();
+    out.push_back(bench::now_s() - t0);
+  };
+  auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  per_row();  // page in both arrays
+  for (int r = 0; r < 150; ++r) {
+    timed(per_row, row_s);
+    timed(trains, train_s);
+  }
+  const auto elems = static_cast<double>(storage.size());
+  KernelCase kc;
+  kc.name = name;
+  kc.scalar_melem_s = elems / median(row_s) / 1e6;
+  kc.kernel_melem_s = elems / median(train_s) / 1e6;
+  kc.speedup = kc.kernel_melem_s / kc.scalar_melem_s;
+  return kc;
+}
+
 }  // namespace
 
 int main() {
@@ -279,6 +347,8 @@ int main() {
       run_kernel_case("pack_blockcyclic4x64", 4, 64),
       run_kernel_case("unpack_blockcyclic4x64", 4, 64),
       run_kernel_case("pack_cyclic_owner_memcpy", 1, 16, /*owner_side=*/true),
+      run_region_case("extract_rowblock_to_cols8", /*unpacking=*/false),
+      run_region_case("inject_rowblock_to_cols8", /*unpacking=*/true),
   };
   bench::Table kt({"pattern", "scalar_Melem/s", "kernel_Melem/s", "speedup"});
   for (const auto& kc : kcases)

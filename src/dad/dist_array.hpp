@@ -1,35 +1,11 @@
 #pragma once
 
-#include <cstring>
 #include <span>
 #include <vector>
 
 #include "dad/descriptor.hpp"
-#include "rt/kernels.hpp"
 
 namespace mxn::dad {
-
-/// Visit `region` as a sequence of rows contiguous along the last axis:
-/// fn(row_start_point, row_length). Row order is row-major over the leading
-/// axes, which is also the order of the region's row-major serialization —
-/// the property the pack/unpack kernels below rely on.
-template <class Fn>
-void for_each_row(const Patch& region, Fn&& fn) {
-  if (region.empty()) return;
-  const int last = region.ndim - 1;
-  const Index row_len = region.extent(last);
-  Point p = region.lo;
-  while (true) {
-    fn(const_cast<const Point&>(p), row_len);
-    int a = last - 1;
-    while (a >= 0) {
-      if (++p[a] < region.hi[a]) break;
-      p[a] = region.lo[a];
-      --a;
-    }
-    if (a < 0) return;
-  }
-}
 
 /// An actual array aligned to a Descriptor template: this rank's local
 /// storage is the concatenation of its owned patches, each row-major. This
@@ -86,31 +62,20 @@ class DistArray {
 
   /// Copy `region` (which must lie inside a single owned patch — schedule
   /// builders guarantee this by intersecting patch-by-patch) into `out` in
-  /// row-major region order. Rows along the last axis are contiguous in
-  /// local storage; the run coalescer fuses full-width row sequences into
-  /// one memcpy and constant-delta row trains (thin slabs, halo columns)
-  /// into the block kernels (docs/PERFORMANCE.md).
+  /// row-major region order: full-width slabs as one memcpy, thinner
+  /// regions (column blocks, halo columns) as block trains (gather_region).
   void extract(const Patch& region, T* out) const {
     const std::size_t pi = desc_->patch_containing(rank_, region);
-    const Patch& owned = desc_->patches_of(rank_)[pi];
-    const Index base = desc_->patch_base(rank_, pi);
-    rt::kernels::RunGather<T> rg(data_.data(), out);
-    for_each_row(region, [&](const Point& row, Index len) {
-      rg.add(base + owned.offset_of(row), 1, len);
-    });
-    rg.flush();
+    gather_region(desc_->patches_of(rank_)[pi], desc_->patch_base(rank_, pi),
+                  region, data_.data(), out, sizeof(T));
   }
 
   /// Inverse of extract.
   void inject(const Patch& region, const T* in) {
     const std::size_t pi = desc_->patch_containing(rank_, region);
-    const Patch& owned = desc_->patches_of(rank_)[pi];
-    const Index base = desc_->patch_base(rank_, pi);
-    rt::kernels::RunScatter<T> rs(data_.data(), in);
-    for_each_row(region, [&](const Point& row, Index len) {
-      rs.add(base + owned.offset_of(row), 1, len);
-    });
-    rs.flush();
+    scatter_region(desc_->patches_of(rank_)[pi],
+                   desc_->patch_base(rank_, pi), region, data_.data(), in,
+                   sizeof(T));
   }
 
   [[nodiscard]] std::vector<T> extract(const Patch& region) const {

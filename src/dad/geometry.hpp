@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -155,5 +156,21 @@ struct Patch {
     return true;
   }
 };
+
+/// Copy `region`, which must lie inside `owned`, out of the row-major
+/// storage of `owned` (whose first element is element `base` of `storage`)
+/// into `out`, packed in row-major region order. `width` is the element
+/// size in bytes. The region's shape states its copy pattern: axes it spans
+/// fully fold into one contiguous block, the next axis becomes one
+/// constant-stride block train, and only the axes outside those two are
+/// looped over. Each train is one rt::kernels::BlockRun, dispatched and
+/// accounted by rt::kernels::gather_run (docs/PERFORMANCE.md).
+void gather_region(const Patch& owned, Index base, const Patch& region,
+                   const void* storage, void* out, std::size_t width);
+
+/// Inverse of gather_region: storage <- `in`, through
+/// rt::kernels::scatter_run.
+void scatter_region(const Patch& owned, Index base, const Patch& region,
+                    void* storage, const void* in, std::size_t width);
 
 }  // namespace mxn::dad

@@ -1,7 +1,5 @@
 #include "dri/dri.hpp"
 
-#include <cstring>
-
 #include "dad/dist_array.hpp"
 #include "rt/error.hpp"
 
@@ -57,31 +55,6 @@ Distribution::Distribution(DataType type, std::vector<std::int64_t> extents,
   desc_ = dad::make_regular(std::move(axes));
 }
 
-namespace {
-
-/// Copy a region of a packed local array (concatenated row-major patches)
-/// to/from a linear buffer, in row-major region order.
-void copy_region(const dad::Descriptor& desc, int rank,
-                 const dad::Patch& region, std::size_t width,
-                 std::byte* local, const std::byte* in, std::byte* out) {
-  const std::size_t pi = desc.patch_containing(rank, region);
-  const dad::Patch& owned = desc.patches_of(rank)[pi];
-  const auto base = desc.patch_base(rank, pi);
-  std::size_t cursor = 0;
-  dad::for_each_row(region, [&](const dad::Point& row, dad::Index len) {
-    const std::size_t off =
-        static_cast<std::size_t>(base + owned.offset_of(row)) * width;
-    const std::size_t n = static_cast<std::size_t>(len) * width;
-    if (out)
-      std::memcpy(out + cursor, local + off, n);
-    else
-      std::memcpy(local + off, in + cursor, n);
-    cursor += n;
-  });
-}
-
-}  // namespace
-
 Reorg::Reorg(rt::Communicator comm, const Distribution& src,
              const Distribution& dst, int tag)
     : comm_(std::move(comm)), tag_(tag), elem_width_(src.elem_width()) {
@@ -134,9 +107,10 @@ bool Reorg::step(std::span<const std::byte> local_src,
          (sent == 0 || sent + sends_[next_send_].bytes <= chunk_bytes)) {
     const Piece& p = sends_[next_send_];
     std::vector<std::byte> buf(p.bytes);
-    copy_region(*src_desc_, my_src_, p.region, elem_width_,
-                const_cast<std::byte*>(local_src.data()), nullptr,
-                buf.data());
+    const std::size_t pi = src_desc_->patch_containing(my_src_, p.region);
+    dad::gather_region(src_desc_->patches_of(my_src_)[pi],
+                       src_desc_->patch_base(my_src_, pi), p.region,
+                       local_src.data(), buf.data(), elem_width_);
     comm_.send(p.peer_world, tag_, std::move(buf));
     sent += p.bytes;
     ++next_send_;
@@ -162,8 +136,10 @@ bool Reorg::step(std::span<const std::byte> local_src,
     }
     if (msg.payload.size() != p.bytes)
       throw UsageError("DRI piece size mismatch");
-    copy_region(*dst_desc_, my_dst_, p.region, elem_width_,
-                local_dst.data(), msg.payload.data(), nullptr);
+    const std::size_t pi = dst_desc_->patch_containing(my_dst_, p.region);
+    dad::scatter_region(dst_desc_->patches_of(my_dst_)[pi],
+                        dst_desc_->patch_base(my_dst_, pi), p.region,
+                        local_dst.data(), msg.payload.data(), elem_width_);
     received += p.bytes;
     ++next_recv_;
     if (received >= chunk_bytes) break;

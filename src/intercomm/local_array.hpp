@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstring>
 #include <vector>
 
 #include "core/field.hpp"
@@ -75,25 +74,14 @@ class LocalArray {
   /// Copy `region` (inside one owned patch) out in row-major region order.
   void extract(const Patch& region, T* out) const {
     const std::size_t pi = containing(region);
-    const Patch& owned = patches_[pi];
-    Index written = 0;
-    dad::for_each_row(region, [&](const Point& row, Index len) {
-      std::memcpy(out + written,
-                  data_.data() + bases_[pi] + owned.offset_of(row),
-                  static_cast<std::size_t>(len) * sizeof(T));
-      written += len;
-    });
+    dad::gather_region(patches_[pi], bases_[pi], region, data_.data(), out,
+                       sizeof(T));
   }
 
   void inject(const Patch& region, const T* in) {
     const std::size_t pi = containing(region);
-    const Patch& owned = patches_[pi];
-    Index read = 0;
-    dad::for_each_row(region, [&](const Point& row, Index len) {
-      std::memcpy(data_.data() + bases_[pi] + owned.offset_of(row),
-                  in + read, static_cast<std::size_t>(len) * sizeof(T));
-      read += len;
-    });
+    dad::scatter_region(patches_[pi], bases_[pi], region, data_.data(), in,
+                        sizeof(T));
   }
 
  private:

@@ -176,39 +176,28 @@ detail::PeerHeader unpack_meta(std::span<const std::byte> bytes,
   return h;
 }
 
-/// Read-only FieldRegistration over a serialized blob: extract() mirrors
-/// DistArray::extract but sources rows from `blob` at the field's offset,
-/// using the field's ownership map for cohort slot `cohort_rank`. This is
-/// how both survivor snapshots and rebuilt dead-rank blobs feed the
-/// relayout.
-FieldRegistration blob_backed_field(const detail::FieldMeta& fm,
-                                    int cohort_rank, Buffer blob) {
+}  // namespace
+
+FieldRegistration blob_backed_field(std::string name,
+                                    dad::DescriptorPtr descriptor,
+                                    std::size_t elem_size,
+                                    std::uint64_t offset, int cohort_rank,
+                                    Buffer blob) {
   FieldRegistration f;
-  f.name = fm.name;
-  f.descriptor = fm.descriptor;
-  f.elem_size = static_cast<std::size_t>(fm.elem_size);
+  f.name = std::move(name);
+  f.descriptor = descriptor;
+  f.elem_size = elem_size;
   f.mode = core::AccessMode::Read;
-  const std::uint64_t off = fm.offset;
-  const std::uint64_t elem = fm.elem_size;
-  f.extract = [desc = fm.descriptor, cohort_rank, blob = std::move(blob), off,
-               elem](const dad::Patch& region, std::byte* out) {
+  f.extract = [desc = std::move(descriptor), cohort_rank,
+               blob = std::move(blob), offset,
+               elem_size](const dad::Patch& region, std::byte* out) {
     const std::size_t pi = desc->patch_containing(cohort_rank, region);
-    const dad::Patch& owned = desc->patches_of(cohort_rank)[pi];
-    const dad::Index base = desc->patch_base(cohort_rank, pi);
-    const std::byte* local = blob.data() + off;
-    std::size_t written = 0;
-    dad::for_each_row(region, [&](const dad::Point& row, dad::Index len) {
-      const auto src =
-          static_cast<std::size_t>(base + owned.offset_of(row)) * elem;
-      std::memcpy(out + written, local + src,
-                  static_cast<std::size_t>(len) * elem);
-      written += static_cast<std::size_t>(len) * elem;
-    });
+    dad::gather_region(desc->patches_of(cohort_rank)[pi],
+                       desc->patch_base(cohort_rank, pi), region,
+                       blob.data() + offset, out, elem_size);
   };
   return f;
 }
-
-}  // namespace
 
 // --- construction -----------------------------------------------------------
 
@@ -598,7 +587,9 @@ RecoverStats RedundancyGroup::recover(
   if (comp.is_member())
     for (const auto& fm : state_->my_fields)
       exchanges[0].fields[state_->my_side].emplace(
-          fm.name, blob_backed_field(fm, state_->my_cohort, state_->blob));
+          fm.name, blob_backed_field(fm.name, fm.descriptor, fm.elem_size,
+                                     fm.offset, state_->my_cohort,
+                                     state_->blob));
 
   // 6. Rebuild each dead member's blob at its proxy: survivors of its group
   // re-shuffle the chunks their parities consumed at encode, XOR them out,
@@ -705,7 +696,8 @@ RecoverStats RedundancyGroup::recover(
       const Buffer rebuilt(std::move(blob));
       for (const auto& fm : hdr.fields)
         exchanges[1].fields[hdr.side].emplace(
-            fm.name, blob_backed_field(fm, hdr.cohort_rank, rebuilt));
+            fm.name, blob_backed_field(fm.name, fm.descriptor, fm.elem_size,
+                                       fm.offset, hdr.cohort_rank, rebuilt));
       stats.rebuilt_bytes += hdr.blob_size;
       rebuilt_ctr.add(hdr.blob_size);
     }

@@ -52,6 +52,17 @@ struct RecoverStats {
   std::int64_t recover_ns = 0;
 };
 
+/// Read-only FieldRegistration over a serialized blob: extract() copies a
+/// region out of a field's local storage held in `blob` from byte `offset`,
+/// laid out as `descriptor`'s patches for cohort slot `cohort_rank` (the
+/// storage DistArray::extract reads). This is how both survivor snapshots
+/// and rebuilt dead-rank blobs feed the relayout.
+core::FieldRegistration blob_backed_field(std::string name,
+                                          dad::DescriptorPtr descriptor,
+                                          std::size_t elem_size,
+                                          std::uint64_t offset,
+                                          int cohort_rank, rt::Buffer blob);
+
 namespace detail {
 struct EncodeState;
 }  // namespace detail

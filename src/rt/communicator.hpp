@@ -162,7 +162,8 @@ class Communicator {
     if (m.payload.size() % sizeof(T) != 0)
       throw UsageError("recv_vector: payload size not a multiple of sizeof(T)");
     std::vector<T> out(m.payload.size() / sizeof(T));
-    std::memcpy(out.data(), m.payload.data(), m.payload.size());
+    if (!out.empty())
+      std::memcpy(out.data(), m.payload.data(), m.payload.size());
     note_bytes_copied(m.payload.size());
     return out;
   }

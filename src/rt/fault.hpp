@@ -48,7 +48,7 @@ struct FaultPlan {
   // Multi-kill list ("kill=2@40,5@90" in the spec syntax). Each entry kills
   // one rank at that rank's own operation count, so a plan can exceed any
   // redundancy scheme's tolerance (docs/REDUNDANCY.md).
-  std::vector<KillSpec> kills;
+  std::vector<KillSpec> kills{};
 
   // Faults apply only to messages with tag >= min_tag. The default spares
   // nothing user-visible; internal collective tags (< 0) are always spared

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace mxn::rt::kernels {
@@ -160,13 +161,17 @@ class RunPlan {
   std::vector<BlockRun> runs_;
 };
 
-/// Typed pack-side coalescer: gathers strided storage runs into a
-/// contiguous buffer. Feed add(); call flush() once at the end.
-template <class T>
-class RunGather {
+/// Typed coalescer bound to a direction: Gather packs strided storage runs
+/// into a contiguous buffer, !Gather scatters the buffer back. Feed add();
+/// call flush() once at the end.
+template <class T, bool Gather>
+class RunCopy {
+  using Storage = std::conditional_t<Gather, const T*, T*>;
+  using Buf = std::conditional_t<Gather, T*, const T*>;
+
  public:
-  RunGather(const T* storage, T* buf)
-      : storage_(storage), buf_(buf), co_(&RunGather::emit, this) {}
+  RunCopy(Storage storage, Buf buf)
+      : storage_(storage), buf_(buf), co_(&RunCopy::emit, this) {}
 
   void add(std::int64_t s0, std::int64_t stride, std::int64_t n) {
     co_.add(s0, stride, n);
@@ -175,36 +180,15 @@ class RunGather {
 
  private:
   static void emit(void* ctx, const BlockRun& r) {
-    auto* self = static_cast<RunGather*>(ctx);
-    gather_run(self->storage_, self->buf_, sizeof(T), r);
+    auto* self = static_cast<RunCopy*>(ctx);
+    if constexpr (Gather)
+      gather_run(self->storage_, self->buf_, sizeof(T), r);
+    else
+      scatter_run(self->storage_, self->buf_, sizeof(T), r);
   }
 
-  const T* storage_;
-  T* buf_;
-  RunCoalescer co_;
-};
-
-/// Typed unpack-side coalescer: scatters a contiguous buffer back into
-/// strided storage runs.
-template <class T>
-class RunScatter {
- public:
-  RunScatter(T* storage, const T* buf)
-      : storage_(storage), buf_(buf), co_(&RunScatter::emit, this) {}
-
-  void add(std::int64_t s0, std::int64_t stride, std::int64_t n) {
-    co_.add(s0, stride, n);
-  }
-  void flush() { co_.flush(); }
-
- private:
-  static void emit(void* ctx, const BlockRun& r) {
-    auto* self = static_cast<RunScatter*>(ctx);
-    scatter_run(self->storage_, self->buf_, sizeof(T), r);
-  }
-
-  T* storage_;
-  const T* buf_;
+  Storage storage_;
+  Buf buf_;
   RunCoalescer co_;
 };
 

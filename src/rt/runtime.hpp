@@ -24,7 +24,7 @@ struct SpawnOptions {
 
   /// Deterministic fault injection for this spawn (docs/FAULTS.md). When
   /// unset, the MXN_FAULTS environment variable is consulted instead.
-  std::optional<FaultPlan> faults;
+  std::optional<FaultPlan> faults{};
 
   /// Turn on trace-event recording for this spawn (see
   /// docs/OBSERVABILITY.md). The MXN_TRACE environment variable enables it

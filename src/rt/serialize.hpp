@@ -112,7 +112,7 @@ class UnpackBuffer {
     const auto n = unpack<std::uint64_t>();
     need(n * sizeof(T));
     std::vector<T> values(n);
-    std::memcpy(values.data(), data_.data() + pos_, n * sizeof(T));
+    if (n) std::memcpy(values.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     note_bytes_copied(n * sizeof(T));
     return values;

@@ -104,7 +104,7 @@ void for_each_segment_run(const std::vector<linear::ProvenancedSegment>& prov,
 
 /// Pack the elements of `segs` (ascending, each covered by the footprint in
 /// `prov`) from local storage into a linear-ordered buffer. The raw runs of
-/// the walk are streamed through rt::kernels::RunGather, which coalesces
+/// the walk are streamed through rt::kernels::RunCopy, which coalesces
 /// adjacent unit-stride runs into single memcpys, fuses constant-delta run
 /// trains into block kernels, and dispatches pure strided gathers to the
 /// SIMD tiers (docs/PERFORMANCE.md, "Copy kernels").
@@ -112,7 +112,7 @@ template <class T>
 void pack_segments(const std::vector<linear::ProvenancedSegment>& prov,
                    const std::vector<linear::Segment>& segs, const T* local,
                    T* buf) {
-  rt::kernels::RunGather<T> rg(local, buf);
+  rt::kernels::RunCopy<T, /*Gather=*/true> rg(local, buf);
   detail::for_each_segment_run(
       prov, segs,
       [&](Index s0, Index stride, Index /*k*/, Index n) {
@@ -129,7 +129,7 @@ template <class T>
 void unpack_segments(const std::vector<linear::ProvenancedSegment>& prov,
                      const std::vector<linear::Segment>& segs, T* local,
                      const T* buf) {
-  rt::kernels::RunScatter<T> rs(local, buf);
+  rt::kernels::RunCopy<T, /*Gather=*/false> rs(local, buf);
   detail::for_each_segment_run(
       prov, segs,
       [&](Index s0, Index stride, Index /*k*/, Index n) {
@@ -194,17 +194,6 @@ void unpack_segments_scalar(
         else
           for (Index i = 0; i < n; ++i) local[s0 + i * stride] = buf[k + i];
       });
-}
-
-/// Compatibility wrapper over pack_segments / unpack_segments.
-template <class T>
-void copy_segments(const std::vector<linear::ProvenancedSegment>& prov,
-                   const std::vector<linear::Segment>& segs, T* local,
-                   T* buf, bool pack) {
-  if (pack)
-    pack_segments<T>(prov, segs, local, buf);
-  else
-    unpack_segments<T>(prov, segs, local, buf);
 }
 
 /// Execute a region schedule: this process performs exactly its own sends

@@ -1,14 +1,24 @@
 // Unit and property tests for the Distributed Array Descriptor (src/dad):
 // patch geometry, per-axis distributions, templates (regular + explicit),
-// local storage mapping, and the extract/inject pack kernels.
+// local storage mapping, and the extract/inject pack kernels. The region
+// copy section checks gather_region/scatter_region and every array type
+// built on them (DistArray, intercomm::LocalArray, redundancy's blob-backed
+// fields, DRI Reorg) against a per-point reference under every ISA tier.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <set>
 
 #include "dad/dist_array.hpp"
+#include "dri/dri.hpp"
+#include "intercomm/local_array.hpp"
+#include "redundancy/redundancy.hpp"
+#include "rt/kernels.hpp"
+#include "rt/runtime.hpp"
+#include "trace/trace.hpp"
 
 namespace dad = mxn::dad;
 using dad::AxisDist;
@@ -458,4 +468,361 @@ TEST(DistArray, LocalSpanMatchesVolume) {
   auto d = dad::make_regular(std::vector<AxisDist>{AxisDist::block(10, 3)});
   dad::DistArray<float> a(d, 2);
   EXPECT_EQ(a.local().size(), static_cast<std::size_t>(d->local_volume(2)));
+}
+
+// ---------------------------------------------------------------------------
+// Region copies against a per-point reference
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace kern = mxn::rt::kernels;
+using Bytes = std::vector<std::byte>;
+
+/// Every ISA tier the CPU supports, scalar first.
+std::vector<kern::Isa> supported_tiers() {
+  const kern::Isa original = kern::active_isa();
+  std::vector<kern::Isa> tiers;
+  for (kern::Isa isa : {kern::Isa::Scalar, kern::Isa::Sse2, kern::Isa::Avx2}) {
+    kern::set_isa(isa);
+    if (kern::active_isa() == isa) tiers.push_back(isa);
+  }
+  kern::set_isa(original);
+  return tiers;
+}
+
+/// Forces a tier for one scope; a failing assertion cannot leak it.
+struct IsaGuard {
+  kern::Isa saved = kern::active_isa();
+  explicit IsaGuard(kern::Isa isa) { kern::set_isa(isa); }
+  ~IsaGuard() { kern::set_isa(saved); }
+};
+
+/// A 12-byte element: no SIMD lane width divides it.
+struct Odd12 {
+  std::uint32_t a, b, c;
+};
+
+/// Bytes moved by the copy kernels so far, over all three dispatch classes.
+std::uint64_t kernel_bytes() {
+  return mxn::trace::counter("sched.kernel.memcpy_bytes").value() +
+         mxn::trace::counter("sched.kernel.simd_bytes").value() +
+         mxn::trace::counter("sched.kernel.scalar_bytes").value();
+}
+
+Bytes random_bytes(std::mt19937& rng, std::size_t n) {
+  Bytes b(n);
+  for (auto& x : b) x = static_cast<std::byte>(rng());
+  return b;
+}
+
+Index pick(std::mt19937& rng, Index lo, Index hi) {  // uniform in [lo, hi]
+  return std::uniform_int_distribution<Index>(lo, hi)(rng);
+}
+
+dad::DescriptorPtr random_regular(std::mt19937& rng, int ndim) {
+  std::vector<AxisDist> axes;
+  for (int a = 0; a < ndim; ++a) {
+    const Index n = pick(rng, 1, ndim <= 2 ? 13 : 6);
+    const int p = static_cast<int>(pick(rng, 1, ndim <= 2 ? 3 : 2));
+    switch (pick(rng, 0, 3)) {
+      case 0:
+        axes.push_back(AxisDist::collapsed(n));
+        break;
+      case 1:
+        axes.push_back(AxisDist::block(n, p));
+        break;
+      case 2:
+        axes.push_back(AxisDist::cyclic(n, p));
+        break;
+      default:
+        axes.push_back(AxisDist::block_cyclic(n, p, pick(rng, 1, 3)));
+        break;
+    }
+  }
+  return dad::make_regular(std::move(axes));
+}
+
+/// An explicit descriptor: the global box cut into random sub-boxes by
+/// repeated splits, dealt to `nranks` owners.
+dad::DescriptorPtr random_explicit(std::mt19937& rng, int ndim) {
+  Point ext{};
+  for (int a = 0; a < ndim; ++a) ext[a] = pick(rng, 1, ndim <= 2 ? 13 : 6);
+  std::vector<Patch> boxes{Patch::make(ndim, Point{}, ext)};
+  for (int cut = 0; cut < 6; ++cut) {
+    const auto i = static_cast<std::size_t>(
+        pick(rng, 0, static_cast<Index>(boxes.size()) - 1));
+    const int a = static_cast<int>(pick(rng, 0, ndim - 1));
+    Patch lo = boxes[i];
+    if (lo.extent(a) < 2) continue;
+    Patch hi = lo;
+    lo.hi[a] = hi.lo[a] = pick(rng, lo.lo[a] + 1, lo.hi[a] - 1);
+    boxes[i] = lo;
+    boxes.push_back(hi);
+  }
+  const int nranks = static_cast<int>(pick(rng, 1, 3));
+  std::vector<dad::OwnedPatch> owned;
+  for (std::size_t i = 0; i < boxes.size(); ++i)
+    owned.push_back({boxes[i], static_cast<int>(pick(rng, 0, nranks - 1))});
+  return dad::make_explicit(ndim, ext, std::move(owned), nranks);
+}
+
+/// Regions of `owned` covering every copy shape: one element, one row, one
+/// column (length-1 rows: the strided path), full width (memcpy
+/// promotion), the whole patch (outer axes on 3-D/4-D), and random boxes.
+std::vector<Patch> regions_of(const Patch& owned, std::mt19937& rng) {
+  const int last = owned.ndim - 1;
+  auto random_box = [&] {
+    Patch r = owned;
+    for (int a = 0; a < owned.ndim; ++a) {
+      r.lo[a] = pick(rng, owned.lo[a], owned.hi[a] - 1);
+      r.hi[a] = pick(rng, r.lo[a] + 1, owned.hi[a]);
+    }
+    return r;
+  };
+  Patch element = random_box(), row = random_box(), column = random_box(),
+        full_width = random_box();
+  for (int a = 0; a < last; ++a) {
+    element.hi[a] = element.lo[a] + 1;
+    row.hi[a] = row.lo[a] + 1;
+  }
+  element.hi[last] = element.lo[last] + 1;
+  column.hi[last] = column.lo[last] + 1;
+  full_width.lo[last] = owned.lo[last];
+  full_width.hi[last] = owned.hi[last];
+  return {element, row, column, full_width, owned, random_box(), random_box()};
+}
+
+/// The region's elements in row-major region order, each found through
+/// global_to_local.
+Bytes reference_gather(const dad::Descriptor& d, int rank, const Patch& region,
+                       const Bytes& local, std::size_t width) {
+  Bytes out;
+  region.for_each_point([&](const Point& p) {
+    const auto off =
+        static_cast<std::size_t>(d.global_to_local(rank, p)) * width;
+    out.insert(out.end(), local.begin() + static_cast<std::ptrdiff_t>(off),
+               local.begin() + static_cast<std::ptrdiff_t>(off + width));
+  });
+  return out;
+}
+
+Bytes reference_scatter(const dad::Descriptor& d, int rank,
+                        const Patch& region, Bytes local, const Bytes& in,
+                        std::size_t width) {
+  std::size_t k = 0;
+  region.for_each_point([&](const Point& p) {
+    const auto off =
+        static_cast<std::size_t>(d.global_to_local(rank, p)) * width;
+    std::memcpy(local.data() + off, in.data() + k, width);
+    k += width;
+  });
+  return local;
+}
+
+/// One region of one rank: the expected bytes of every direction, and the
+/// checks that each copy path reproduces them and counts them as kernel
+/// bytes.
+struct RegionCase {
+  const dad::DescriptorPtr& desc;
+  int rank;
+  const Patch& region;
+  const Bytes& local;  // rank's local storage before the copy
+  Bytes in;            // region-ordered input for the scatter direction
+  Bytes gathered, scattered;
+
+  RegionCase(const dad::DescriptorPtr& d, int r, const Patch& reg,
+             const Bytes& loc, std::size_t w, std::mt19937& rng)
+      : desc(d), rank(r), region(reg), local(loc),
+        in(random_bytes(rng, static_cast<std::size_t>(reg.volume()) * w)),
+        gathered(reference_gather(*d, r, reg, loc, w)),
+        scattered(reference_scatter(*d, r, reg, loc, in, w)) {}
+
+  /// `copy(out)` gathers the region into `out`; checks bytes and counters.
+  template <class Gather>
+  void check_gather(const char* path, Gather&& copy) const {
+    Bytes out(gathered.size(), std::byte{0xAA});
+    const std::uint64_t before = kernel_bytes();
+    copy(out.data());
+    EXPECT_EQ(kernel_bytes() - before, gathered.size())
+        << path << " " << region.to_string();
+    EXPECT_EQ(out, gathered) << path << " " << region.to_string();
+  }
+
+  /// `copy(storage)` scatters `in` into `storage`, a copy of `local`.
+  template <class Scatter>
+  void check_scatter(const char* path, Scatter&& copy) const {
+    Bytes storage = local;
+    const std::uint64_t before = kernel_bytes();
+    copy(storage.data());
+    EXPECT_EQ(kernel_bytes() - before, in.size())
+        << path << " " << region.to_string();
+    EXPECT_EQ(storage, scattered) << path << " " << region.to_string();
+  }
+};
+
+template <class T>
+void check_typed_callers(const RegionCase& c) {
+  const auto bytes = c.local.size();
+  dad::DistArray<T> arr(c.desc, c.rank);
+  mxn::intercomm::LocalArray<T> la(c.desc->patches_of(c.rank));
+  auto load = [&](std::span<T> dst, const std::byte* src) {
+    if (bytes) std::memcpy(dst.data(), src, bytes);
+  };
+  load(arr.local(), c.local.data());
+  load(la.local(), c.local.data());
+  c.check_gather("DistArray::extract", [&](std::byte* out) {
+    arr.extract(c.region, reinterpret_cast<T*>(out));
+  });
+  c.check_gather("LocalArray::extract", [&](std::byte* out) {
+    la.extract(c.region, reinterpret_cast<T*>(out));
+  });
+  c.check_scatter("DistArray::inject", [&](std::byte* storage) {
+    arr.inject(c.region, reinterpret_cast<const T*>(c.in.data()));
+    std::memcpy(storage, arr.local().data(), bytes);
+    load(arr.local(), c.local.data());
+  });
+  c.check_scatter("LocalArray::inject", [&](std::byte* storage) {
+    la.inject(c.region, reinterpret_cast<const T*>(c.in.data()));
+    std::memcpy(storage, la.local().data(), bytes);
+    load(la.local(), c.local.data());
+  });
+}
+
+}  // namespace
+
+TEST(RegionCopy, EveryPathMatchesPerPointReferenceOnEveryTier) {
+  std::mt19937 rng(7);
+  const auto tiers = supported_tiers();
+  for (int trial = 0; trial < 48; ++trial) {
+    const int ndim = 1 + trial % 4;
+    const auto desc = trial % 8 < 4 ? random_regular(rng, ndim)
+                                    : random_explicit(rng, ndim);
+    for (std::size_t width : {std::size_t{4}, std::size_t{8}, sizeof(Odd12)}) {
+      for (int rank = 0; rank < desc->nranks(); ++rank) {
+        const auto& patches = desc->patches_of(rank);
+        if (patches.empty()) continue;
+        const Bytes local = random_bytes(
+            rng, static_cast<std::size_t>(desc->local_volume(rank)) * width);
+        // Prefix the blob so the field starts mid-buffer, as in a snapshot.
+        Bytes blob_bytes = random_bytes(rng, 24);
+        blob_bytes.insert(blob_bytes.end(), local.begin(), local.end());
+        const auto blob_field = mxn::redundancy::blob_backed_field(
+            "f", desc, width, 24, rank, mxn::rt::Buffer::copy_of(blob_bytes));
+
+        const auto pi = static_cast<std::size_t>(
+            pick(rng, 0, static_cast<Index>(patches.size()) - 1));
+        const Patch& owned = patches[pi];
+        const Index base = desc->patch_base(rank, pi);
+        for (const Patch& region : regions_of(owned, rng)) {
+          const RegionCase c(desc, rank, region, local, width, rng);
+          for (kern::Isa isa : tiers) {
+            SCOPED_TRACE(kern::isa_name(isa));
+            IsaGuard guard(isa);
+            c.check_gather("gather_region", [&](std::byte* out) {
+              dad::gather_region(owned, base, region, local.data(), out,
+                                 width);
+            });
+            c.check_scatter("scatter_region", [&](std::byte* storage) {
+              dad::scatter_region(owned, base, region, storage, c.in.data(),
+                                  width);
+            });
+            c.check_gather("blob_backed_field", [&](std::byte* out) {
+              blob_field.extract(region, out);
+            });
+            if (width == 4)
+              check_typed_callers<std::uint32_t>(c);
+            else if (width == 8)
+              check_typed_callers<double>(c);
+            else
+              check_typed_callers<Odd12>(c);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RegionCopy, EmptyRegionCopiesNothing) {
+  const Patch owned = patch2(0, 4, 0, 4);
+  const Patch empty = patch2(1, 1, 0, 4);
+  const std::uint64_t before = kernel_bytes();
+  dad::gather_region(owned, 0, empty, nullptr, nullptr, 8);
+  dad::scatter_region(owned, 0, empty, nullptr, nullptr, 8);
+  EXPECT_EQ(kernel_bytes(), before);
+}
+
+TEST(RegionCopy, DriReorgMatchesPerPointReferenceOnEveryTier) {
+  namespace dri = mxn::dri;
+  std::mt19937 rng(11);
+  auto random_partition = [&](Index extent) {
+    const int p = static_cast<int>(pick(rng, 1, 2));
+    switch (pick(rng, 0, 3)) {
+      case 0:
+        return dri::Partition::collapsed();
+      case 1:
+        return dri::Partition::block_over(p);
+      case 2:
+        return dri::Partition::cyclic_over(p);
+      default:
+        return dri::Partition::block_cyclic_over(
+            p, pick(rng, 1, std::max<Index>(1, extent / 2)));
+    }
+  };
+  for (int trial = 0; trial < 12; ++trial) {
+    const int ndim = 1 + trial % 3;
+    const auto type =
+        trial % 2 ? dri::DataType::Double : dri::DataType::Float;
+    std::vector<std::int64_t> extents;
+    std::vector<dri::Partition> sp, dp;
+    for (int a = 0; a < ndim; ++a) {
+      extents.push_back(pick(rng, 2, ndim == 1 ? 40 : 9));
+      sp.push_back(random_partition(extents.back()));
+      dp.push_back(random_partition(extents.back()));
+    }
+    const dri::Distribution src(type, extents, sp), dst(type, extents, dp);
+    const std::size_t w = src.elem_width();
+    // Element bytes are a function of the element's global coordinates.
+    auto value = [&](const Point& p, std::size_t byte) {
+      std::uint64_t h = 1469598103934665603ull + byte;
+      for (int a = 0; a < ndim; ++a)
+        h = (h ^ static_cast<std::uint64_t>(p[a])) * 1099511628211ull;
+      return static_cast<std::byte>(h >> 29);
+    };
+    const int world_size = src.nprocs() + dst.nprocs();
+    for (kern::Isa isa : supported_tiers()) {
+      SCOPED_TRACE(std::string(kern::isa_name(isa)) + " trial " +
+                   std::to_string(trial));
+      IsaGuard guard(isa);
+      mxn::rt::spawn(world_size, [&](mxn::rt::Communicator& world) {
+        dri::Reorg reorg(world, src, dst, 31);
+        const int me = world.rank();
+        const int my_dst = me - src.nprocs();
+        Bytes sbuf, dbuf;
+        if (me < src.nprocs()) {
+          sbuf.resize(src.local_bytes(me));
+          const auto& d = *src.descriptor();
+          for (const auto& patch : d.patches_of(me))
+            patch.for_each_point([&](const Point& p) {
+              const auto off =
+                  static_cast<std::size_t>(d.global_to_local(me, p)) * w;
+              for (std::size_t b = 0; b < w; ++b) sbuf[off + b] = value(p, b);
+            });
+        } else {
+          dbuf.resize(dst.local_bytes(my_dst));
+        }
+        reorg.run(sbuf, dbuf);
+        if (my_dst < 0) return;
+        const auto& d = *dst.descriptor();
+        for (const auto& patch : d.patches_of(my_dst))
+          patch.for_each_point([&](const Point& p) {
+            const auto off =
+                static_cast<std::size_t>(d.global_to_local(my_dst, p)) * w;
+            for (std::size_t b = 0; b < w; ++b)
+              ASSERT_EQ(dbuf[off + b], value(p, b))
+                  << "point " << p[0] << "," << p[1] << "," << p[2];
+          });
+      });
+    }
+  }
 }
