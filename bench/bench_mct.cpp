@@ -39,7 +39,7 @@ double router_throughput(int m, int n, Index gsize, int nfields,
     cfg.tag = 200;
     std::vector<std::string> fields;
     for (int f = 0; f < nfields; ++f)
-      fields.push_back("f" + std::to_string(f));
+      fields.push_back(std::string("f").append(std::to_string(f)));
     if (is_src) {
       auto router = mct::Router::source(cfg, src_map);
       AttrVect av(fields, src_map.local_size(cohort.rank()));

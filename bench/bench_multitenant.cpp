@@ -49,6 +49,12 @@ using prmi::Value;
 
 namespace {
 
+/// prefix + decimal i. Appending avoids GCC 12's false -Wrestrict on
+/// `"literal" + std::string&&`.
+std::string numbered(const char* prefix, int i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
 // --- Part 1: 10k M×N connection tenants ------------------------------------
 
 constexpr int kSrcRanks = 2;
@@ -98,7 +104,7 @@ Part1 run_part1() {
           side == 0 ? src_desc(i) : dst, cohort.rank()));
       if (side == 0) arrs.back()->fill(value_at);
       mxn->register_field(core::make_field(
-          "f" + std::to_string(i), arrs.back().get(),
+          numbered("f", i), arrs.back().get(),
           side == 0 ? core::AccessMode::Read : core::AccessMode::Write));
     }
 
@@ -106,10 +112,10 @@ Part1 run_part1() {
     const double t0 = bench::now_s();
     for (int c = 0; c < kConns; ++c) {
       core::ConnectionSpec spec;
-      spec.src_field = spec.dst_field = "f" + std::to_string(c % kFields);
+      spec.src_field = spec.dst_field = numbered("f", c % kFields);
       spec.src_side = 0;
       spec.one_shot = false;
-      fab.add_connection("t" + std::to_string(c), mxn, mxn->establish(spec));
+      fab.add_connection(numbered("t", c), mxn, mxn->establish(spec));
     }
     const double establish_s = bench::now_s() - t0;
 
@@ -215,11 +221,11 @@ Part3 run_part3() {
       fw.add_provides("server", "engine", servant);
     } else {
       for (int t = 0; t < kTenants; ++t)
-        fw.register_uses("client", "u" + std::to_string(t),
+        fw.register_uses("client", numbered("u", t),
                          pkg.interface("Engine"));
     }
     for (int t = 0; t < kTenants; ++t)
-      fw.connect("client", "u" + std::to_string(t), "server", "engine");
+      fw.connect("client", numbered("u", t), "server", "engine");
 
     if (fw.member_of("server")) {
       try {
@@ -232,8 +238,8 @@ Part3 run_part3() {
     fabric::Fabric fab;
     std::vector<std::shared_ptr<prmi::RemotePort>> ports;
     for (int t = 0; t < kTenants; ++t) {
-      ports.push_back(fw.get_port("client", "u" + std::to_string(t)));
-      fab.add_prmi_client("rpc" + std::to_string(t), ports.back());
+      ports.push_back(fw.get_port("client", numbered("u", t)));
+      fab.add_prmi_client(numbered("rpc", t), ports.back());
     }
 
     double best_plain = 1e30, best_batched = 1e30;

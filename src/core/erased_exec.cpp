@@ -1,9 +1,5 @@
 #include "core/erased_exec.hpp"
 
-#include "rt/buffer.hpp"
-#include "sched/executor.hpp"
-#include "trace/trace.hpp"
-
 namespace mxn::core {
 
 using rt::UsageError;
@@ -11,77 +7,34 @@ using rt::UsageError;
 MovedCounts execute_erased(const sched::RegionSchedule& s,
                            const FieldRegistration* src,
                            const FieldRegistration* dst,
-                           const sched::Coupling& c, int tag, bool staged) {
-  trace::Span span("sched.execute", "sched",
-                   static_cast<std::uint64_t>(s.send_elements() +
-                                              s.recv_elements()));
-  MovedCounts moved;
-  rt::Communicator channel = c.channel;
+                           const sched::Coupling& c, int tag) {
+  std::size_t width = 0;
   if (!s.sends.empty()) {
     if (!src) throw UsageError("schedule has sends but no source field");
     if (!src->extract)
       throw UsageError("field '" + src->name +
                        "' is not readable (access mode)");
+    width = src->elem_size;
   }
   if (!s.recvs.empty()) {
     if (!dst) throw UsageError("schedule has recvs but no destination field");
     if (!dst->inject)
       throw UsageError("field '" + dst->name +
                        "' is not writable (access mode)");
+    if (width != 0 && width != dst->elem_size)
+      throw UsageError("fields '" + src->name + "' and '" + dst->name +
+                       "' differ in element size");
+    width = dst->elem_size;
   }
-  for (const auto& pr : s.sends) {
-    const std::size_t bytes =
-        static_cast<std::size_t>(pr.elements) * src->elem_size;
-    rt::Buffer buf = rt::Buffer::allocate(bytes);
-    std::byte* out = buf.mutable_data();
-    std::size_t off = 0;
-    for (const auto& region : pr.regions) {
-      src->extract(region, out + off);
-      off += static_cast<std::size_t>(region.volume()) * src->elem_size;
-    }
-    rt::note_bytes_copied(bytes);
-    moved.elements += static_cast<std::uint64_t>(pr.elements);
-    moved.bytes += bytes;
-    channel.isend(c.dst_ranks.at(pr.peer), tag, std::move(buf));
-  }
-  // Staged mode: land every payload before the first inject, so a fault
-  // while any receive is outstanding cannot leave the field half-written.
-  // Payloads are drained in arrival order; staging keeps a reference to
-  // each arrived block (no copy) until the commit walk injects from it.
-  std::vector<rt::Buffer> pending;
-  if (staged) pending.resize(s.recvs.size());
-  sched::detail::drain_arrival_order(
-      channel, c.src_ranks, s.recvs, tag, c.recv_timeout_ms,
-      [&](std::size_t i, rt::Message msg) {
-        const auto& pr = s.recvs[i];
-        if (msg.payload.size() !=
-            static_cast<std::size_t>(pr.elements) * dst->elem_size)
-          throw UsageError("erased transfer payload size mismatch");
-        if (staged) {
-          pending[i] = std::move(msg.payload);
-          return;
-        }
-        std::size_t off = 0;
-        for (const auto& region : pr.regions) {
-          dst->inject(region, msg.payload.data() + off);
-          off += static_cast<std::size_t>(region.volume()) * dst->elem_size;
-        }
-        moved.elements += static_cast<std::uint64_t>(pr.elements);
-        moved.bytes += msg.payload.size();
+  return sched::execute_bytes(
+      s, width, c, tag,
+      [src, width](const sched::PeerRegions& pr, std::byte* out) {
+        sched::pack_regions(pr.regions, width, src->extract, out);
+      },
+      [dst, width](const sched::PeerRegions& pr,
+                   std::span<const std::byte> in) {
+        sched::unpack_regions(pr.regions, width, dst->inject, in.data());
       });
-  if (staged) {
-    for (std::size_t i = 0; i < s.recvs.size(); ++i) {
-      const auto& pr = s.recvs[i];
-      std::size_t off = 0;
-      for (const auto& region : pr.regions) {
-        dst->inject(region, pending[i].data() + off);
-        off += static_cast<std::size_t>(region.volume()) * dst->elem_size;
-      }
-      moved.elements += static_cast<std::uint64_t>(pr.elements);
-      moved.bytes += pending[i].size();
-    }
-  }
-  return moved;
 }
 
 }  // namespace mxn::core

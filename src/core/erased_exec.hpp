@@ -1,33 +1,20 @@
 #pragma once
 
-#include <cstdint>
-
 #include "core/field.hpp"
-#include "sched/coupling.hpp"
-#include "sched/schedule.hpp"
+#include "sched/executor.hpp"
 
 namespace mxn::core {
 
-/// Traffic moved by one erased transfer (local view).
-struct MovedCounts {
-  std::uint64_t elements = 0;
-  std::uint64_t bytes = 0;
-};
+using sched::MovedCounts;
 
-/// Byte-level twin of sched::execute: performs this process's share of a
-/// region schedule through the type-erased pack/unpack closures of field
-/// registrations. `src` may be null when this process has no sends, `dst`
-/// null when it has no receives.
-///
-/// Receives honor `c.recv_timeout_ms`. With `staged` set, every incoming
-/// payload is buffered and validated BEFORE the first inject closure runs,
-/// so a fault mid-receive (TimeoutError, payload mismatch) leaves the
-/// destination field byte-for-byte untouched — the property the reliable
-/// M×N transfer builds its retry on.
+/// Type-erased twin of sched::execute: performs this process's share of a
+/// region schedule through the extract/inject closures of field
+/// registrations, on the shared sched::execute_bytes engine. `src` may be
+/// null when this process has no sends, `dst` null when it has no receives.
+/// Receives honor `c.recv_timeout_ms`.
 MovedCounts execute_erased(const sched::RegionSchedule& s,
                            const FieldRegistration* src,
                            const FieldRegistration* dst,
-                           const sched::Coupling& c, int tag,
-                           bool staged = false);
+                           const sched::Coupling& c, int tag);
 
 }  // namespace mxn::core

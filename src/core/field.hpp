@@ -44,16 +44,8 @@ FieldRegistration make_field(std::string name, dad::DistArray<T>* array,
   f.descriptor = array->descriptor_ptr();
   f.elem_size = sizeof(T);
   f.mode = mode;
-  if (readable(mode)) {
-    f.extract = [array](const dad::Patch& region, std::byte* out) {
-      array->extract(region, reinterpret_cast<T*>(out));
-    };
-  }
-  if (writable(mode)) {
-    f.inject = [array](const dad::Patch& region, const std::byte* in) {
-      array->inject(region, reinterpret_cast<const T*>(in));
-    };
-  }
+  if (readable(mode)) f.extract = array->extractor();
+  if (writable(mode)) f.inject = array->injector();
   return f;
 }
 

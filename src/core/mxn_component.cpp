@@ -287,15 +287,11 @@ std::vector<std::byte> MxNComponent::checkpoint_fields() const {
   for (const auto& [name, f] : fields_) {
     if (!f.extract) continue;  // write-only fields cannot be checkpointed
     b.pack(name);
-    const auto& patches = f.descriptor->patches_of(me);
     std::vector<std::byte> local(
         static_cast<std::size_t>(f.descriptor->local_volume(me)) *
         f.elem_size);
-    std::size_t off = 0;
-    for (const auto& patch : patches) {
-      f.extract(patch, local.data() + off);
-      off += static_cast<std::size_t>(patch.volume()) * f.elem_size;
-    }
+    sched::pack_regions(f.descriptor->patches_of(me), f.elem_size, f.extract,
+                        local.data());
     b.pack(local);
   }
   return std::move(b).take();
@@ -318,11 +314,8 @@ void MxNComponent::restore_fields(std::span<const std::byte> blob) {
     if (data.size() != expect)
       throw UsageError("checkpoint of field '" + name +
                        "' does not match the registered decomposition");
-    std::size_t off = 0;
-    for (const auto& patch : f.descriptor->patches_of(me)) {
-      f.inject(patch, data.data() + off);
-      off += static_cast<std::size_t>(patch.volume()) * f.elem_size;
-    }
+    sched::unpack_regions(f.descriptor->patches_of(me), f.elem_size,
+                          f.inject, data.data());
   }
 }
 

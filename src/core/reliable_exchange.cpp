@@ -1,7 +1,6 @@
 #include "core/reliable_exchange.hpp"
 
 #include <cstring>
-#include <map>
 #include <vector>
 
 namespace mxn::core {
@@ -66,13 +65,9 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
             kSerialBytes +
             static_cast<std::size_t>(pr.elements) * x.src->elem_size;
         rt::Buffer buf = rt::Buffer::allocate(nbytes);
-        std::byte* out = buf.mutable_data();
-        put_serial(out, my_serial);
-        std::size_t off = kSerialBytes;
-        for (const auto& region : pr.regions) {
-          x.src->extract(region, out + off);
-          off += static_cast<std::size_t>(region.volume()) * x.src->elem_size;
-        }
+        put_serial(buf.mutable_data(), my_serial);
+        sched::pack_regions(pr.regions, x.src->elem_size, x.src->extract,
+                            buf.mutable_data() + kSerialBytes);
         rt::note_bytes_copied(nbytes);
         moved.elements += static_cast<std::uint64_t>(pr.elements);
         moved.bytes += nbytes - kSerialBytes;
@@ -86,33 +81,23 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
       // injected yet so any failure below unwinds to the pre-transfer
       // field state.
       // Staging holds a reference to each arrived payload block (no copy),
-      // and stages in ARRIVAL order: an any-source matched receive takes
-      // whichever peer's payload lands first, so one slow source does not
-      // hold up validation of the others. The predicate only admits peers
-      // that still owe this attempt a payload; a stale serial is consumed
-      // and dropped, leaving its peer owed.
-      std::map<int, std::size_t> by_src;
-      for (std::size_t i = 0; i < s.recvs.size(); ++i)
-        by_src.emplace(cpl.src_ranks.at(s.recvs[i].peer), i);
-      const auto owed = [&](const rt::Message& m) {
-        const auto it = by_src.find(m.src);
-        return it != by_src.end() && staged[it->second].empty();
-      };
-      std::size_t outstanding = s.recvs.size();
-      while (outstanding > 0) {
-        auto m = channel.recv_matching(rt::kAnySource, x.data_tag, owed, to);
-        const std::size_t i = by_src.at(m.src);
-        const auto& pr = s.recvs[i];
-        const std::uint64_t ser = peek_serial(m.payload);
-        if (ser < serial) continue;  // stale attempt: drain and drop
-        if (ser > serial) serial = ser;
-        if (m.payload.size() - kSerialBytes !=
-            static_cast<std::size_t>(pr.elements) * x.dst->elem_size)
-          throw UsageError("reliable transfer payload size mismatch");
-        staged[i] = std::move(m.payload);
-        serials[i] = ser;
-        --outstanding;
-      }
+      // and stages in ARRIVAL order (sched::detail::drain_arrival_order),
+      // so one slow source does not hold up validation of the others. A
+      // stale serial is consumed and dropped, leaving its peer owed.
+      sched::detail::drain_arrival_order(
+          channel, cpl.src_ranks, s.recvs, x.data_tag, to,
+          [&](std::size_t i, rt::Message m) {
+            const std::uint64_t ser = peek_serial(m.payload);
+            if (ser < serial) return false;  // stale attempt: drain and drop
+            if (ser > serial) serial = ser;
+            if (m.payload.size() - kSerialBytes !=
+                static_cast<std::size_t>(s.recvs[i].elements) *
+                    x.dst->elem_size)
+              throw UsageError("reliable transfer payload size mismatch");
+            staged[i] = std::move(m.payload);
+            serials[i] = ser;
+            return true;
+          });
       for (std::size_t i = 0; i < s.recvs.size(); ++i)
         channel.send(cpl.src_ranks.at(s.recvs[i].peer), x.ack_tag,
                      serial_only(serials[i]));
@@ -141,11 +126,8 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
       }
       for (std::size_t i = 0; i < s.recvs.size(); ++i) {
         const auto& pr = s.recvs[i];
-        std::size_t off = kSerialBytes;
-        for (const auto& region : pr.regions) {
-          x.dst->inject(region, staged[i].data() + off);
-          off += static_cast<std::size_t>(region.volume()) * x.dst->elem_size;
-        }
+        sched::unpack_regions(pr.regions, x.dst->elem_size, x.dst->inject,
+                              staged[i].data() + kSerialBytes);
         moved.elements += static_cast<std::uint64_t>(pr.elements);
         moved.bytes += staged[i].size() - kSerialBytes;
       }

@@ -78,6 +78,19 @@ class DistArray {
                    sizeof(T));
   }
 
+  /// extract/inject as byte-level (region, bytes) callables: the form
+  /// sched::pack_regions / unpack_regions and field registrations take.
+  [[nodiscard]] auto extractor() const {
+    return [this](const Patch& region, std::byte* out) {
+      extract(region, reinterpret_cast<T*>(out));
+    };
+  }
+  [[nodiscard]] auto injector() {
+    return [this](const Patch& region, const std::byte* in) {
+      inject(region, reinterpret_cast<const T*>(in));
+    };
+  }
+
   [[nodiscard]] std::vector<T> extract(const Patch& region) const {
     std::vector<T> out(static_cast<std::size_t>(region.volume()));
     extract(region, out.data());

@@ -104,11 +104,8 @@ void Exporter::do_export(std::int64_t ts) {
   for (const auto& pr : sched_.sends) {
     std::vector<std::byte> buf(static_cast<std::size_t>(pr.elements) *
                                field_.elem_size);
-    std::size_t off = 0;
-    for (const auto& region : pr.regions) {
-      field_.extract(region, buf.data() + off);
-      off += static_cast<std::size_t>(region.volume()) * field_.elem_size;
-    }
+    sched::pack_regions(pr.regions, field_.elem_size, field_.extract,
+                        buf.data());
     snap.per_peer.push_back(std::move(buf));
   }
   buffer_.push_back(std::move(snap));
@@ -298,11 +295,8 @@ std::int64_t Importer::do_import(std::int64_t ts) {
     if (msg.payload.size() !=
         static_cast<std::size_t>(pr.elements) * field_.elem_size)
       throw UsageError("import payload size mismatch");
-    std::size_t off = 0;
-    for (const auto& region : pr.regions) {
-      field_.inject(region, msg.payload.data() + off);
-      off += static_cast<std::size_t>(region.volume()) * field_.elem_size;
-    }
+    sched::unpack_regions(pr.regions, field_.elem_size, field_.inject,
+                          msg.payload.data());
     stats_.elements += static_cast<std::uint64_t>(pr.elements);
   }
   ++stats_.transfers;

@@ -10,6 +10,7 @@
 
 #include "dad/dist_array.hpp"
 #include "rt/serialize.hpp"
+#include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
 // Erasure-coded state redundancy (docs/REDUNDANCY.md): the shuffile/redset
@@ -250,7 +251,8 @@ EncodeStats RedundancyGroup::encode() {
   st->my_cohort = comp.cohort().rank();
 
   // 1. Snapshot: every registered field's local patches, concatenated in
-  // name order (std::map), each patch row-major at its descriptor base —
+  // name order (std::map), each field's patches packed back to back
+  // (sched::pack_regions), which puts each patch at its descriptor base —
   // the same local-storage arrangement DistArray uses, so the blob can be
   // re-extracted per region by ownership-map lookups alone.
   std::uint64_t total = 0;
@@ -272,16 +274,10 @@ EncodeStats RedundancyGroup::encode() {
   Buffer blob = Buffer::allocate(total);
   if (total > 0) {
     std::byte* out = blob.mutable_data();
-    for (const auto& fm : st->my_fields) {
-      const FieldRegistration& f = comp.fields().at(fm.name);
-      const auto& patches = fm.descriptor->patches_of(st->my_cohort);
-      for (std::size_t i = 0; i < patches.size(); ++i) {
-        const dad::Index base = fm.descriptor->patch_base(st->my_cohort, i);
-        f.extract(patches[i],
-                  out + fm.offset +
-                      static_cast<std::size_t>(base) * fm.elem_size);
-      }
-    }
+    for (const auto& fm : st->my_fields)
+      sched::pack_regions(fm.descriptor->patches_of(st->my_cohort),
+                          fm.elem_size, comp.fields().at(fm.name).extract,
+                          out + fm.offset);
   }
   st->blob = std::move(blob);
 

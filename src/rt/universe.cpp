@@ -65,11 +65,13 @@ std::string Universe::timeout_dead_report() {
   static trace::Counter& detected = trace::counter("fault.dead_rank_detected");
   detected.add(1);
   const std::vector<int> dead = dead_ranks();
+  std::string s = "; ";
   if (dead.empty())
-    return "; " + std::to_string(dead_.load(std::memory_order_acquire)) +
-           " rank(s) known dead (fault-injected kill)";
-  std::string s = "; known dead rank(s):";
-  for (int r : dead) s += " " + std::to_string(r);
+    s += std::to_string(dead_.load(std::memory_order_acquire)) +
+         " rank(s) known dead";
+  else
+    s += "known dead rank(s):";
+  for (int r : dead) s.append(" ").append(std::to_string(r));
   s += " (fault-injected kill)";
   return s;
 }

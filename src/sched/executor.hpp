@@ -16,9 +16,10 @@ namespace mxn::sched {
 
 namespace detail {
 
-/// Drain one message per schedule entry in ARRIVAL order: a tag-matched
-/// any-source receive delivers whichever peer's payload is ready first, so a
-/// slow peer never head-of-line-blocks the unpacking of a fast one.
+/// Drain one accepted message per schedule entry in ARRIVAL order: a
+/// tag-matched any-source receive delivers whichever peer's payload is ready
+/// first, so a slow peer never head-of-line-blocks the unpacking of a fast
+/// one.
 ///
 /// The predicate admits a message only while its sender still owes this
 /// transfer a payload. That guard matters for back-to-back transfers on the
@@ -27,8 +28,10 @@ namespace detail {
 /// it. Per-(src, tag) FIFO among matches keeps each peer's stream in order,
 /// so the combination is exactly as safe as the old fixed-order drain.
 ///
-/// `deliver(i, msg)` is invoked once per entry, i being the index into
-/// `recvs` of the entry whose payload arrived.
+/// `deliver(i, msg)` is invoked per admitted message, i being the index into
+/// `recvs` of the entry it is owed for, and returns whether it took the
+/// payload. A rejected message (stale traffic of an aborted attempt, in the
+/// reliable exchange) is dropped and its sender still owes the entry.
 template <class Entry, class Deliver>
 void drain_arrival_order(rt::Communicator& channel,
                          const std::vector<int>& src_ranks,
@@ -45,13 +48,13 @@ void drain_arrival_order(rt::Communicator& channel,
     const auto it = owed.find(m.src);
     return it != owed.end() && !it->second.empty();
   };
-  for (std::size_t k = 0; k < recvs.size(); ++k) {
+  for (std::size_t k = 0; k < recvs.size();) {
     rt::Message msg =
         channel.recv_matching(rt::kAnySource, tag, matches, timeout_ms);
     auto& queue = owed.at(msg.src);
-    const std::size_t i = queue.front();
+    if (!deliver(queue.front(), std::move(msg))) continue;
     queue.pop_front();
-    deliver(i, std::move(msg));
+    ++k;
   }
 }
 
@@ -196,21 +199,66 @@ void unpack_segments_scalar(
       });
 }
 
-/// Execute a region schedule: this process performs exactly its own sends
-/// and matched receives — independent asynchronous point-to-point transfers
-/// with no synchronization barrier on either side (the dataReady() model of
-/// the CCA M×N component, paper §4.1). Sends are eager, so issuing all
-/// sends before draining receives cannot deadlock.
+/// Traffic moved by one transfer, local view: payload elements and bytes
+/// summed over this rank's sends and receives.
+struct MovedCounts {
+  std::uint64_t elements = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// The one M×N send/drain engine: every loose transfer (typed region, typed
+/// segment, type-erased) runs through here. This process performs exactly
+/// its own sends and matched receives — independent asynchronous
+/// point-to-point transfers with no synchronization barrier on either side
+/// (the dataReady() model of the CCA M×N component, paper §4.1). Sends are
+/// eager, so issuing all sends before draining receives cannot deadlock.
 ///
-/// Zero-copy data plane (docs/PERFORMANCE.md): each peer's regions are
-/// packed once, straight into a pooled rt::Buffer that is then MOVED through
-/// the runtime; the receive side injects directly out of the arrived payload
-/// block, and payloads are drained in arrival order rather than schedule
-/// order. Per element transferred this costs exactly one copy (the pack) —
-/// the inject into the destination array is the delivery itself.
-///
-/// `src_arr` may be null when this process is not in the source cohort, and
-/// `dst_arr` null when not in the destination cohort.
+/// Zero-copy data plane (docs/PERFORMANCE.md): each send peer's payload of
+/// `elements * width` bytes is packed once by `pack(entry, out)`, straight
+/// into a pooled rt::Buffer that is then MOVED through the runtime; payloads
+/// are drained in arrival order and `unpack(entry, payload)` injects
+/// directly out of the arrived block once its size is checked. Per element
+/// transferred this costs exactly one copy (the pack) — the inject into the
+/// destination is the delivery itself.
+template <class Schedule, class Pack, class Unpack>
+MovedCounts execute_bytes(const Schedule& s, std::size_t width,
+                          const Coupling& c, int tag, Pack&& pack,
+                          Unpack&& unpack) {
+  trace::Span span("sched.execute", "sched",
+                   static_cast<std::uint64_t>(s.send_elements() +
+                                              s.recv_elements()) * width);
+  MovedCounts moved;
+  rt::Communicator channel = c.channel;  // local handle
+
+  for (const auto& pe : s.sends) {
+    const std::size_t bytes = static_cast<std::size_t>(pe.elements) * width;
+    rt::Buffer buf = rt::Buffer::allocate(bytes);
+    pack(pe, buf.mutable_data());
+    rt::note_bytes_copied(bytes);
+    moved.elements += static_cast<std::uint64_t>(pe.elements);
+    moved.bytes += bytes;
+    channel.isend(c.dst_ranks.at(pe.peer), tag, std::move(buf));
+  }
+
+  detail::drain_arrival_order(
+      channel, c.src_ranks, s.recvs, tag, c.recv_timeout_ms,
+      [&](std::size_t i, rt::Message msg) {
+        const auto& pe = s.recvs[i];
+        const std::size_t bytes = static_cast<std::size_t>(pe.elements) * width;
+        if (msg.payload.size() != bytes)
+          throw rt::UsageError("redistribution payload size mismatch");
+        unpack(pe, msg.payload.span());
+        moved.elements += static_cast<std::uint64_t>(pe.elements);
+        moved.bytes += bytes;
+        return true;
+      });
+  return moved;
+}
+
+/// Execute a region schedule over typed arrays (execute_bytes with the
+/// pack_regions payload layout). `src_arr` may be null when this process is
+/// not in the source cohort, and `dst_arr` null when not in the destination
+/// cohort.
 template <class T>
 void execute(const RegionSchedule& sched, const dad::DistArray<T>* src_arr,
              dad::DistArray<T>* dst_arr, const Coupling& c, int tag) {
@@ -218,86 +266,37 @@ void execute(const RegionSchedule& sched, const dad::DistArray<T>* src_arr,
     throw rt::UsageError("schedule has sends but no source array given");
   if (!sched.recvs.empty() && dst_arr == nullptr)
     throw rt::UsageError("schedule has recvs but no destination array given");
-
-  trace::Span span(
-      "sched.execute", "sched",
-      static_cast<std::uint64_t>(sched.send_elements() +
-                                 sched.recv_elements()) * sizeof(T));
-  rt::Communicator channel = c.channel;  // local handle
-
-  for (const auto& pr : sched.sends) {
-    const std::size_t bytes =
-        static_cast<std::size_t>(pr.elements) * sizeof(T);
-    rt::Buffer buf = rt::Buffer::allocate(bytes);
-    T* out = reinterpret_cast<T*>(buf.mutable_data());
-    Index off = 0;
-    for (const auto& region : pr.regions) {
-      src_arr->extract(region, out + off);
-      off += region.volume();
-    }
-    rt::note_bytes_copied(bytes);
-    channel.isend(c.dst_ranks.at(pr.peer), tag, std::move(buf));
-  }
-
-  detail::drain_arrival_order(
-      channel, c.src_ranks, sched.recvs, tag, c.recv_timeout_ms,
-      [&](std::size_t i, rt::Message msg) {
-        const auto& pr = sched.recvs[i];
-        if (msg.payload.size() !=
-            static_cast<std::size_t>(pr.elements) * sizeof(T))
-          throw rt::UsageError("redistribution payload size mismatch");
-        std::vector<T> fallback;
-        const T* data = detail::aligned_or_copy<T>(msg.payload.span(),
-                                                   fallback);
-        Index off = 0;
-        for (const auto& region : pr.regions) {
-          dst_arr->inject(region, data + off);
-          off += region.volume();
-        }
+  execute_bytes(
+      sched, sizeof(T), c, tag,
+      [&](const PeerRegions& pr, std::byte* out) {
+        pack_regions(pr.regions, sizeof(T), src_arr->extractor(), out);
+      },
+      [&](const PeerRegions& pr, std::span<const std::byte> in) {
+        unpack_regions(pr.regions, sizeof(T), dst_arr->injector(), in.data());
       });
 }
 
 /// Execute a segment schedule. `src_prov`/`dst_prov` are the provenanced
 /// footprints of the local arrays under the source/destination
 /// linearizations (compute once with linear::footprint_with_provenance and
-/// reuse across transfers, like the schedule itself).
-///
-/// Same zero-copy discipline as the region overload: pack once into a pooled
-/// buffer, move it through the runtime, unpack segments straight out of the
-/// received payload in arrival order.
+/// reuse across transfers, like the schedule itself). Payloads are
+/// linear-ordered segment runs (pack_segments) instead of regions.
 template <class T>
 void execute(const SegmentSchedule& sched, dad::DistArray<T>* src_arr,
              const std::vector<linear::ProvenancedSegment>* src_prov,
              dad::DistArray<T>* dst_arr,
              const std::vector<linear::ProvenancedSegment>* dst_prov,
              const Coupling& c, int tag) {
-  trace::Span span(
-      "sched.execute", "sched",
-      static_cast<std::uint64_t>(sched.send_elements() +
-                                 sched.recv_elements()) * sizeof(T));
-  rt::Communicator channel = c.channel;
-
-  for (const auto& ps : sched.sends) {
-    const std::size_t bytes =
-        static_cast<std::size_t>(ps.elements) * sizeof(T);
-    rt::Buffer buf = rt::Buffer::allocate(bytes);
-    pack_segments<T>(*src_prov, ps.segs, src_arr->local().data(),
-                     reinterpret_cast<T*>(buf.mutable_data()));
-    rt::note_bytes_copied(bytes);
-    channel.isend(c.dst_ranks.at(ps.peer), tag, std::move(buf));
-  }
-
-  detail::drain_arrival_order(
-      channel, c.src_ranks, sched.recvs, tag, c.recv_timeout_ms,
-      [&](std::size_t i, rt::Message msg) {
-        const auto& ps = sched.recvs[i];
-        if (msg.payload.size() !=
-            static_cast<std::size_t>(ps.elements) * sizeof(T))
-          throw rt::UsageError("redistribution payload size mismatch");
+  execute_bytes(
+      sched, sizeof(T), c, tag,
+      [&](const PeerSegments& ps, std::byte* out) {
+        pack_segments<T>(*src_prov, ps.segs, src_arr->local().data(),
+                         reinterpret_cast<T*>(out));
+      },
+      [&](const PeerSegments& ps, std::span<const std::byte> in) {
         std::vector<T> fallback;
-        const T* data = detail::aligned_or_copy<T>(msg.payload.span(),
-                                                   fallback);
-        unpack_segments<T>(*dst_prov, ps.segs, dst_arr->local().data(), data);
+        unpack_segments<T>(*dst_prov, ps.segs, dst_arr->local().data(),
+                           detail::aligned_or_copy<T>(in, fallback));
       });
 }
 

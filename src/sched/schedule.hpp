@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "dad/descriptor.hpp"
@@ -23,6 +25,30 @@ struct PeerRegions {
   std::vector<Patch> regions;
   Index elements = 0;
 };
+
+/// The M×N payload layout, shared by every transfer path, checkpoint and
+/// snapshot blob: `regions` back to back, each row-major, `width` bytes per
+/// element. `extract(region, out)` copies one region out of local storage —
+/// a FieldRegistration closure or DistArray::extractor().
+template <class Extract>
+void pack_regions(std::span<const Patch> regions, std::size_t width,
+                  const Extract& extract, std::byte* out) {
+  for (const Patch& region : regions) {
+    extract(region, out);
+    out += static_cast<std::size_t>(region.volume()) * width;
+  }
+}
+
+/// Inverse of pack_regions: `inject(region, in)` copies one region into
+/// local storage.
+template <class Inject>
+void unpack_regions(std::span<const Patch> regions, std::size_t width,
+                    const Inject& inject, const std::byte* in) {
+  for (const Patch& region : regions) {
+    inject(region, in);
+    in += static_cast<std::size_t>(region.volume()) * width;
+  }
+}
 
 /// One rank's local view of a region-based communication schedule computed
 /// by direct DAD x DAD patch intersection (paper §2.3). A rank can hold the

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <random>
 #include <thread>
+#include <type_traits>
 
 #include "rt/runtime.hpp"
 #include "sched/cache.hpp"
@@ -29,30 +30,50 @@ namespace {
 double tagged(const Point& p) { return 1000.0 * p[0] + p[1] + 0.25; }
 double tagged1(const Point& p) { return static_cast<double>(p[0]) + 0.5; }
 
+/// A 12-byte element: neither of the copy kernels' 4- or 8-byte widths, so
+/// it takes the executor's generic-width path end to end.
+struct Elem12 {
+  float x, y, z;
+  bool operator==(const Elem12&) const = default;
+};
+static_assert(sizeof(Elem12) == 12);
+
+template <class T>
+T element(double v) {
+  if constexpr (std::is_same_v<T, Elem12>)
+    return {static_cast<float>(v), static_cast<float>(2 * v),
+            static_cast<float>(-v)};
+  else
+    return v;
+}
+
 /// Run a full M x N redistribution with spawn(M+N) and verify every
 /// destination element equals the source value at the same global point.
+template <class T = double>
 void run_redistribution(const DescriptorPtr& src, const DescriptorPtr& dst) {
   const int m = src->nranks();
   const int n = dst->nranks();
+  const auto value = [&](const Point& p) {
+    return element<T>(src->ndim() == 1 ? tagged1(p) : tagged(p));
+  };
   rt::spawn(m + n, [&](rt::Communicator& world) {
     auto c = sched::split_coupling(world, m, n);
     const int ms = c.my_src_rank();
     const int md = c.my_dst_rank();
 
-    std::unique_ptr<dad::DistArray<double>> a, b;
+    std::unique_ptr<dad::DistArray<T>> a, b;
     if (ms >= 0) {
-      a = std::make_unique<dad::DistArray<double>>(src, ms);
-      a->fill(src->ndim() == 1 ? tagged1 : tagged);
+      a = std::make_unique<dad::DistArray<T>>(src, ms);
+      a->fill(value);
     }
-    if (md >= 0) b = std::make_unique<dad::DistArray<double>>(dst, md);
+    if (md >= 0) b = std::make_unique<dad::DistArray<T>>(dst, md);
 
     auto s = sched::build_region_schedule(*src, *dst, ms, md);
-    sched::execute<double>(s, a.get(), b.get(), c, 7);
+    sched::execute<T>(s, a.get(), b.get(), c, 7);
 
     if (md >= 0) {
-      b->for_each_owned([&](const Point& p, const double& v) {
-        EXPECT_DOUBLE_EQ(v, src->ndim() == 1 ? tagged1(p) : tagged(p))
-            << "at point " << p[0] << "," << p[1];
+      b->for_each_owned([&](const Point& p, const T& v) {
+        EXPECT_EQ(v, value(p)) << "at point " << p[0] << "," << p[1];
       });
     }
   });
@@ -246,6 +267,7 @@ TEST_P(RedistributionSweep, RandomTemplatePairsArePermutations) {
   auto dst = std::make_shared<const Descriptor>(
       Descriptor::regular({rand_axis(e0), rand_axis(e1)}));
   run_redistribution(src, dst);
+  run_redistribution<Elem12>(src, dst);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RedistributionSweep,

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/erased_exec.hpp"
 #include "dad/dist_array.hpp"
 #include "rt/runtime.hpp"
 #include "sched/cache.hpp"
@@ -17,6 +18,7 @@
 #include "trace/trace.hpp"
 
 namespace trace = mxn::trace;
+namespace core = mxn::core;
 namespace dad = mxn::dad;
 namespace sched = mxn::sched;
 namespace rt = mxn::rt;
@@ -130,6 +132,45 @@ TEST_F(TraceTest, SpanFeedsHistogramEvenWhenDisabled) {
   auto& h = trace::histogram("t.span_ns");
   { trace::Span s("t.timed", "test", 0, &h); }
   EXPECT_EQ(h.count(), 1u);
+}
+
+TEST_F(TraceTest, ErasedExecuteSpanCountsBytes) {
+  trace::set_enabled(true);
+  // A 2x3 double redistribution through the type-erased executor: each
+  // rank's sched.execute span carries the bytes it moved (OBSERVABILITY.md),
+  // the same unit the typed executor records — not the element count.
+  auto src = dad::make_regular(std::vector<AxisDist>{AxisDist::block(30, 2)});
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::block(30, 3)});
+  rt::spawn(5, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, 2, 3);
+    const int ms = c.my_src_rank(), md = c.my_dst_rank();
+    std::unique_ptr<dad::DistArray<double>> a, b;
+    core::FieldRegistration fa, fb;
+    if (ms >= 0) {
+      a = std::make_unique<dad::DistArray<double>>(src, ms);
+      fa = core::make_field("f", a.get(), core::AccessMode::Read);
+    }
+    if (md >= 0) {
+      b = std::make_unique<dad::DistArray<double>>(dst, md);
+      fb = core::make_field("f", b.get(), core::AccessMode::Write);
+    }
+    const auto s = sched::build_region_schedule(*src, *dst, ms, md);
+    const auto moved = core::execute_erased(s, ms >= 0 ? &fa : nullptr,
+                                            md >= 0 ? &fb : nullptr, c, 9);
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(s.send_elements() + s.recv_elements()) *
+        sizeof(double);
+    EXPECT_EQ(moved.bytes, bytes);
+    int spans = 0;
+    for (const auto& ev : trace::this_thread_events()) {
+      if (std::string(ev.name) != "sched.execute" ||
+          ev.kind != trace::EventKind::Begin)
+        continue;
+      ++spans;
+      EXPECT_EQ(ev.arg, bytes) << "rank " << world.rank();
+    }
+    EXPECT_EQ(spans, 1);
+  });
 }
 
 TEST_F(TraceTest, ChromeTraceExportParsesAndContainsExpectedSpans) {
