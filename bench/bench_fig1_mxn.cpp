@@ -67,14 +67,14 @@ Result run_case(int m, int n, dad::Index extent) {
     // Route the schedule through the cache: rep 0 misses and builds, every
     // later rep hits (same descriptors, same roles).
     sched::ScheduleCache cache;
-    cache.get(src, dst, ms, md);
+    cache.get_shared(src, dst, ms, md);
     world.barrier();
     const double t1 = bench::now_s();
     const auto stats0 = world.stats();
     constexpr int kReps = 3;
     for (int r = 0; r < kReps; ++r) {
-      const auto& s = cache.get(src, dst, ms, md);
-      sched::execute<double>(s, a.get(), b.get(), c, 5);
+      const auto s = cache.get_shared(src, dst, ms, md);
+      sched::execute<double>(*s, a.get(), b.get(), c, 5);
     }
     world.barrier();
     const double t2 = bench::now_s();

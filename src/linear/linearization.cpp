@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <list>
-#include <mutex>
-#include <type_traits>
-#include <unordered_map>
+#include <variant>
 
 #include "rt/error.hpp"
+#include "rt/sharded_lru.hpp"
 #include "trace/trace.hpp"
 
 namespace mxn::linear {
@@ -191,85 +189,39 @@ FpKey make_key(const dad::Descriptor& desc, int rank,
   return k;
 }
 
-/// One memoized value: either a footprint (rank >= 0) or an ownership map
+/// One memoized value: a footprint (rank >= 0) or an ownership map
 /// (rank == -1); the two key spaces are disjoint, so one table holds both.
-struct FpEntry {
-  FpKey key;
-  SegmentsPtr segs;
-  OwnershipPtr owns;
-  std::size_t bytes = 0;
-  std::list<FpEntry*>::iterator lru_it;
+using FpValue = std::variant<std::vector<Segment>, std::vector<OwnedSegment>>;
+
+// An entry's charge: the vector plus a fixed 112-byte estimate of its
+// bookkeeping (key, handles, LRU links).
+struct FpWeigh {
+  std::size_t operator()(const FpValue& v) const {
+    return std::visit(
+        [](const auto& x) { return 112 + x.capacity() * sizeof x[0]; }, v);
+  }
 };
 
-struct FpShard {
-  std::mutex mu;
-  std::unordered_map<FpKey, std::shared_ptr<FpEntry>, FpKeyHash> map;
-  std::list<FpEntry*> lru;  // front = most recently used
-  std::size_t bytes = 0;
+/// Exact hit/miss tallies of one kind of lookup, mirrored to trace counters.
+struct Tally {
+  trace::Counter& hit_count;
+  trace::Counter& miss_count;
+  std::atomic<std::size_t> hits{0};
+  std::atomic<std::size_t> misses{0};
 };
 
 struct FpCache {
-  FootprintCacheConfig cfg{};  // cfg.shards always a power of two
-  std::vector<std::unique_ptr<FpShard>> shards;
-  std::atomic<std::size_t> fp_hits{0};
-  std::atomic<std::size_t> fp_misses{0};
-  std::atomic<std::size_t> own_hits{0};
-  std::atomic<std::size_t> own_misses{0};
+  rt::ShardedLru<FpKey, FpValue, FpKeyHash, FpWeigh> lru{
+      "sched.footprint.evicted"};
+  Tally footprints{trace::counter("sched.footprint.hits"),
+                   trace::counter("sched.footprint.misses")};
+  Tally ownership{trace::counter("sched.ownership.hits"),
+                  trace::counter("sched.ownership.misses")};
+  // Footprint lookups inside ownership_map's build path: a build detail,
+  // not application lookups, so kept out of the footprint tallies.
+  Tally internal{trace::counter("sched.footprint.internal_lookups"),
+                 trace::counter("sched.footprint.internal_lookups")};
   std::atomic<std::size_t> races{0};
-  std::atomic<std::size_t> evictions{0};
-
-  FpCache() { reshard(FootprintCacheConfig{}); }
-
-  void reshard(const FootprintCacheConfig& c) {
-    std::size_t n = 1;
-    while (n < c.shards) n <<= 1;
-    std::vector<std::shared_ptr<FpEntry>> survivors;
-    for (auto& s : shards)
-      for (auto it = s->lru.rbegin(); it != s->lru.rend(); ++it)
-        survivors.push_back(s->map.at((*it)->key));
-    cfg = c;
-    cfg.shards = n;
-    shards.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      shards.push_back(std::make_unique<FpShard>());
-    for (auto& e : survivors) {
-      FpShard& sh = shard_for(e->key);
-      sh.lru.push_front(e.get());
-      e->lru_it = sh.lru.begin();
-      sh.bytes += e->bytes;
-      const FpKey key = e->key;
-      sh.map.emplace(key, std::move(e));
-      evict_over_budget(sh);
-    }
-  }
-
-  FpShard& shard_for(const FpKey& k) {
-    return *shards[FpKeyHash{}(k) & (cfg.shards - 1)];
-  }
-
-  // Caller holds sh.mu. Evicted entries leave the table only; live
-  // SegmentsPtr/OwnershipPtr handles keep their vectors alive.
-  void evict_over_budget(FpShard& sh) {
-    const std::size_t cap_entries =
-        cfg.max_entries
-            ? std::max<std::size_t>(1, cfg.max_entries / cfg.shards)
-            : 0;
-    const std::size_t cap_bytes =
-        cfg.max_bytes ? std::max<std::size_t>(1, cfg.max_bytes / cfg.shards)
-                      : 0;
-    static trace::Counter& evicted =
-        trace::counter("sched.footprint.evicted");
-    while (!sh.lru.empty() &&
-           ((cap_entries && sh.lru.size() > cap_entries) ||
-            (cap_bytes && sh.bytes > cap_bytes))) {
-      FpEntry* victim = sh.lru.back();
-      sh.bytes -= victim->bytes;
-      sh.lru.pop_back();
-      sh.map.erase(victim->key);
-      evictions.fetch_add(1);
-      evicted.add(1);
-    }
-  }
 };
 
 FpCache& fp_cache() {
@@ -277,90 +229,45 @@ FpCache& fp_cache() {
   return c;
 }
 
-/// The shared lookup skeleton: probe (hit → touch LRU), compute outside the
-/// lock, insert first-wins. Counting is exact under threads: a hit counts
-/// at probe time; a miss counts only for the thread whose insert won (it
-/// performed the build everyone uses); a losing racer counts a race — its
-/// duplicate build is discarded, so billing it as a miss would overstate
-/// cold lookups, and billing a hit would overstate cache effectiveness.
-template <typename Ptr, Ptr FpEntry::* Member, typename Build>
-Ptr fp_lookup(const FpKey& key, trace::Counter& hit_count,
-              trace::Counter& miss_count,
-              std::atomic<std::size_t>& hit_tally,
-              std::atomic<std::size_t>& miss_tally, Build&& build) {
-  auto& c = fp_cache();
-  FpShard& sh = c.shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      hit_tally.fetch_add(1);
-      hit_count.add(1);
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second->lru_it);
-      return (*it->second).*Member;
-    }
-  }
-  // Compute outside the lock so concurrent ranks don't serialize; a racing
-  // duplicate build is harmless (first insert wins).
-  Ptr built = build();
+/// The shared lookup: probe, build outside the lock, insert first-wins.
+/// Counting is exact under threads: a hit counts at probe time; a miss
+/// counts only for the thread whose insert won (it performed the build
+/// everyone uses); a losing racer counts a race — its duplicate build is
+/// discarded, so billing it as a miss would overstate cold lookups, and
+/// billing a hit would overstate cache effectiveness.
+template <typename T, typename Build>
+std::shared_ptr<const std::vector<T>> fp_lookup(const FpKey& key, Tally& tally,
+                                                Build&& build) {
   static trace::Counter& race_count = trace::counter("sched.footprint.races");
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.map.find(key);
-  if (it != sh.map.end()) {
+  auto& c = fp_cache();
+  const auto [pin, outcome] =
+      c.lru.get_or_build(key, [&] { return FpValue(build()); });
+  if (outcome == rt::LruOutcome::Race) {
     c.races.fetch_add(1);
     race_count.add(1);
-    return (*it->second).*Member;
+  } else {
+    const bool hit = outcome == rt::LruOutcome::Hit;
+    (hit ? tally.hits : tally.misses).fetch_add(1);
+    (hit ? tally.hit_count : tally.miss_count).add(1);
   }
-  miss_tally.fetch_add(1);
-  miss_count.add(1);
-  auto e = std::make_shared<FpEntry>();
-  e->key = key;
-  (*e).*Member = built;
-  e->bytes = sizeof(FpEntry) +
-             built->capacity() * sizeof(typename std::remove_cvref_t<
-                                        decltype(*built)>::value_type);
-  sh.lru.push_front(e.get());
-  e->lru_it = sh.lru.begin();
-  sh.bytes += e->bytes;
-  sh.map.emplace(key, std::move(e));
-  c.evict_over_budget(sh);
-  return built;
-}
-
-/// Internal footprint lookup for ownership_map's build path: same cache,
-/// but not billed to the footprint hit/miss tallies — these probes are a
-/// build detail of the ownership map, not application footprint lookups.
-SegmentsPtr footprint_cached_unbilled(const dad::Descriptor& desc, int rank,
-                                      const Linearization& lin) {
-  static std::atomic<std::size_t> sink{0};
-  static trace::Counter& null_count =
-      trace::counter("sched.footprint.internal_lookups");
-  return fp_lookup<SegmentsPtr, &FpEntry::segs>(
-      make_key(desc, rank, lin), null_count, null_count, sink, sink, [&] {
-        return std::make_shared<const std::vector<Segment>>(
-            footprint(desc, rank, lin));
-      });
+  return {pin, &std::get<std::vector<T>>(*pin)};
 }
 
 }  // namespace
 
 SegmentsPtr footprint_cached(const dad::Descriptor& desc, int rank,
                              const Linearization& lin) {
-  static trace::Counter& hits = trace::counter("sched.footprint.hits");
-  static trace::Counter& misses = trace::counter("sched.footprint.misses");
-  auto& c = fp_cache();
-  return fp_lookup<SegmentsPtr, &FpEntry::segs>(
-      make_key(desc, rank, lin), hits, misses, c.fp_hits, c.fp_misses, [&] {
-        return std::make_shared<const std::vector<Segment>>(
-            footprint(desc, rank, lin));
-      });
+  return fp_lookup<Segment>(make_key(desc, rank, lin), fp_cache().footprints,
+                            [&] { return footprint(desc, rank, lin); });
 }
 
 std::vector<OwnedSegment> ownership_map(const dad::Descriptor& desc,
                                         const Linearization& lin) {
   std::vector<OwnedSegment> out;
   for (int r = 0; r < desc.nranks(); ++r) {
-    const auto fp = footprint_cached_unbilled(desc, r, lin);
+    const auto fp =
+        fp_lookup<Segment>(make_key(desc, r, lin), fp_cache().internal,
+                           [&] { return footprint(desc, r, lin); });
     for (const auto& s : *fp) out.push_back({s, r});
   }
   std::sort(out.begin(), out.end(),
@@ -372,55 +279,40 @@ std::vector<OwnedSegment> ownership_map(const dad::Descriptor& desc,
 
 OwnershipPtr ownership_map_cached(const dad::Descriptor& desc,
                                   const Linearization& lin) {
-  static trace::Counter& hits = trace::counter("sched.ownership.hits");
-  static trace::Counter& misses = trace::counter("sched.ownership.misses");
-  auto& c = fp_cache();
-  return fp_lookup<OwnershipPtr, &FpEntry::owns>(
-      make_key(desc, /*rank=*/-1, lin), hits, misses, c.own_hits,
-      c.own_misses, [&] {
-        return std::make_shared<const std::vector<OwnedSegment>>(
-            ownership_map(desc, lin));
-      });
+  return fp_lookup<OwnedSegment>(make_key(desc, /*rank=*/-1, lin),
+                                 fp_cache().ownership,
+                                 [&] { return ownership_map(desc, lin); });
 }
 
 void footprint_cache_configure(const FootprintCacheConfig& cfg) {
   // Redistributes existing entries. Not safe against concurrent lookups:
   // configure at startup or between phases (same contract as
   // ScheduleCache::configure).
-  fp_cache().reshard(cfg);
+  fp_cache().lru.configure(cfg);
 }
 
 FootprintCacheStats footprint_cache_stats() {
   auto& c = fp_cache();
   FootprintCacheStats s;
-  s.hits = c.fp_hits.load();
-  s.misses = c.fp_misses.load();
-  s.ownership_hits = c.own_hits.load();
-  s.ownership_misses = c.own_misses.load();
+  s.hits = c.footprints.hits.load();
+  s.misses = c.footprints.misses.load();
+  s.ownership_hits = c.ownership.hits.load();
+  s.ownership_misses = c.ownership.misses.load();
   s.races = c.races.load();
-  s.evictions = c.evictions.load();
-  for (auto& sh : c.shards) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    s.entries += sh->map.size();
-    s.bytes += sh->bytes;
-  }
+  s.evictions = c.lru.evicted();
+  s.entries = c.lru.size();
+  s.bytes = c.lru.bytes();
   return s;
 }
 
 void footprint_cache_clear() {
   auto& c = fp_cache();
-  for (auto& sh : c.shards) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    sh->map.clear();
-    sh->lru.clear();
-    sh->bytes = 0;
-  }
-  c.fp_hits.store(0);
-  c.fp_misses.store(0);
-  c.own_hits.store(0);
-  c.own_misses.store(0);
+  c.lru.clear();
+  c.footprints.hits.store(0);
+  c.footprints.misses.store(0);
+  c.ownership.hits.store(0);
+  c.ownership.misses.store(0);
   c.races.store(0);
-  c.evictions.store(0);
 }
 
 }  // namespace mxn::linear

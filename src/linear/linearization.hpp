@@ -7,6 +7,7 @@
 
 #include "dad/descriptor.hpp"
 #include "dad/geometry.hpp"
+#include "rt/sharded_lru.hpp"
 
 namespace mxn::linear {
 
@@ -160,11 +161,7 @@ OwnershipPtr ownership_map_cached(const dad::Descriptor& desc,
 /// spreading) and budgets; over budget, least-recently-used entries are
 /// evicted (`sched.footprint.evicted`) — returned SegmentsPtr/OwnershipPtr
 /// handles stay valid, eviction only drops the cache's reference.
-struct FootprintCacheConfig {
-  std::size_t shards = 1;       // rounded up to a power of two
-  std::size_t max_entries = 0;  // total entry cap, 0 = unbounded
-  std::size_t max_bytes = 0;    // total byte budget, 0 = unbounded
-};
+using FootprintCacheConfig = rt::ShardedLruConfig;
 void footprint_cache_configure(const FootprintCacheConfig& cfg);
 
 struct FootprintCacheStats {

@@ -1,5 +1,6 @@
 #include "rt/fault.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -62,14 +63,11 @@ std::vector<KillSpec> FaultPlan::all_kills() const {
   // collapse onto the smallest operation count. Ascending rank order keeps
   // the result deterministic regardless of spec order.
   std::map<int, int> earliest;
-  const auto note = [&](const KillSpec& k) {
-    if (k.rank < 0 || k.after < 0) return;
-    const auto it = earliest.find(k.rank);
-    if (it == earliest.end() || k.after < it->second)
-      earliest[k.rank] = k.after;
-  };
-  if (kill_rank >= 0 && kill_after >= 0) note({kill_rank, kill_after});
-  for (const KillSpec& k : kills) note(k);
+  for (const KillSpec& k : kills) {
+    if (k.rank < 0 || k.after < 0) continue;
+    const auto [it, fresh] = earliest.try_emplace(k.rank, k.after);
+    if (!fresh) it->second = std::min(it->second, k.after);
+  }
   std::vector<KillSpec> out;
   out.reserve(earliest.size());
   for (const auto& [r, a] : earliest) out.push_back({r, a});
@@ -110,10 +108,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       p.delay = parse_double(key, val);
     } else if (key == "delay_ms") {
       p.delay_ms = parse_int(key, val);
-    } else if (key == "kill_rank") {
-      p.kill_rank = parse_int(key, val);
-    } else if (key == "kill_after") {
-      p.kill_after = parse_int(key, val);
     } else if (key == "min_tag") {
       p.min_tag = parse_int(key, val);
     } else {
@@ -136,8 +130,7 @@ std::string FaultPlan::to_string() const {
   std::ostringstream os;
   os << "seed=" << seed << ",drop=" << drop << ",dup=" << dup
      << ",reorder=" << reorder << ",delay=" << delay
-     << ",delay_ms=" << delay_ms << ",kill_rank=" << kill_rank
-     << ",kill_after=" << kill_after << ",min_tag=" << min_tag;
+     << ",delay_ms=" << delay_ms << ",min_tag=" << min_tag;
   if (!kills.empty()) {
     os << ",kill=";
     for (std::size_t i = 0; i < kills.size(); ++i)
@@ -151,11 +144,9 @@ FaultInjector::FaultInjector(FaultPlan plan, int nranks)
       ops_(static_cast<std::size_t>(nranks)),
       sends_(static_cast<std::size_t>(nranks)),
       kill_at_(static_cast<std::size_t>(nranks), -1) {
-  for (const KillSpec& k : plan_.all_kills()) {
-    if (k.rank < 0 || k.rank >= nranks) continue;
-    auto& at = kill_at_[static_cast<std::size_t>(k.rank)];
-    if (at < 0 || k.after < at) at = k.after;  // earliest kill wins
-  }
+  // all_kills() holds one entry per rank, each with a non-negative rank.
+  for (const KillSpec& k : plan_.all_kills())
+    if (k.rank < nranks) kill_at_[static_cast<std::size_t>(k.rank)] = k.after;
 }
 
 void FaultInjector::on_op(int rank) {

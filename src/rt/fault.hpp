@@ -38,16 +38,10 @@ struct FaultPlan {
   double delay = 0;    // sender sleeps delay_ms before delivery
   int delay_ms = 1;
 
-  // Kill `kill_rank` when it reaches its `kill_after`-th counted operation
-  // (blocking sends + blocking receives, in that rank's program order).
-  // Negative values disable the kill. Legacy single-kill pair, kept for
-  // back-compat; merged with `kills` by all_kills().
-  int kill_rank = -1;
-  int kill_after = -1;
-
-  // Multi-kill list ("kill=2@40,5@90" in the spec syntax). Each entry kills
-  // one rank at that rank's own operation count, so a plan can exceed any
-  // redundancy scheme's tolerance (docs/REDUNDANCY.md).
+  // Kill list ("kill=2@40,5@90" in the spec syntax). Each entry kills one
+  // rank when it reaches its `after`-th counted operation (blocking sends +
+  // blocking receives, in that rank's program order), so a plan can exceed
+  // any redundancy scheme's tolerance (docs/REDUNDANCY.md).
   std::vector<KillSpec> kills{};
 
   // Faults apply only to messages with tag >= min_tag. The default spares
@@ -55,9 +49,8 @@ struct FaultPlan {
   // so a plan cannot corrupt barrier/bcast plumbing it has no model of.
   int min_tag = 0;
 
-  /// All scheduled kills: the legacy kill_rank/kill_after pair (when both are
-  /// set) followed by `kills`. If one rank appears twice, the earliest
-  /// operation count wins.
+  /// All scheduled kills, one per rank in ascending rank order. If one rank
+  /// appears twice in `kills`, the earliest operation count wins.
   [[nodiscard]] std::vector<KillSpec> all_kills() const;
 
   [[nodiscard]] bool enabled() const {
@@ -68,9 +61,8 @@ struct FaultPlan {
   /// Parse "key=value[,key=value...]" — the MXN_FAULTS syntax, e.g.
   /// "seed=7,drop=0.05,dup=0.05,kill=2@40,5@90". A "kill=" value is a list
   /// of rank@after entries (comma-separated items after a "kill=" key that
-  /// contain no '=' continue the kill list); the legacy
-  /// "kill_rank=2,kill_after=40" keys are still accepted. Unknown keys and
-  /// malformed values throw UsageError.
+  /// contain no '=' continue the kill list). Unknown keys and malformed
+  /// values throw UsageError.
   static FaultPlan parse(const std::string& spec);
 
   /// Plan from MXN_FAULTS, if the variable is set and non-empty.
@@ -92,7 +84,7 @@ class FaultInjector {
   FaultInjector(FaultPlan plan, int nranks);
 
   /// Entry hook of every counted operation (blocking send/recv) of `rank`.
-  /// From the rank's kill_after-th operation on, every call throws
+  /// From the rank's scheduled kill operation on, every call throws
   /// KilledError — the death is sticky, so user code that catches the error
   /// cannot keep communicating on a "dead" rank.
   void on_op(int rank);

@@ -2,28 +2,19 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "rt/sharded_lru.hpp"
 #include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
 namespace mxn::sched {
 
-/// Sizing knobs for a ScheduleCache. The defaults reproduce the historical
-/// behaviour: a single shard with no bounds, where every entry lives until
-/// clear() or epoch retirement. A multi-tenant fabric serving thousands of
-/// couplings configures shards (lock spreading) and budgets (bounded
-/// memory); once either budget is finite the cache evicts least-recently
-/// used entries, so long-lived holders must pin schedules via get_shared().
-struct ScheduleCacheConfig {
-  std::size_t shards = 1;       // rounded up to a power of two
-  std::size_t max_entries = 0;  // total entry cap, 0 = unbounded
-  std::size_t max_bytes = 0;    // total byte budget, 0 = unbounded
-};
+/// Sizing knobs for a ScheduleCache. The defaults, one shard and no bounds,
+/// keep every entry until clear() or epoch retirement; a multi-tenant fabric
+/// configures shards (lock spreading) and budgets (bounded memory).
+using ScheduleCacheConfig = rt::ShardedLruConfig;
 
 /// Per-process cache of region schedules keyed by (source template,
 /// destination template, roles). Communication schedules can be expensive to
@@ -31,134 +22,71 @@ struct ScheduleCacheConfig {
 /// not of the actual arrays aligned to them — one cached schedule serves
 /// every conforming array and every repeat transfer.
 ///
-/// Entries are sharded by a structural hash of the key; each shard holds its
-/// own mutex, hash buckets, and LRU list, so concurrent lookups from many
-/// tenants contend only within a shard. get() is O(1) in the number of
-/// cached schedules; the structural same_desc comparison runs only on hash
-/// collisions. hits()/misses() stay exact (atomic tallies).
-///
-/// When a byte budget or entry cap is configured, inserts evict from the
-/// cold end of the owning shard's LRU list and bump `sched.cache.evicted`.
-/// Eviction drops the cache's reference only: get_shared() returns a
-/// shared_ptr that keeps the schedule alive for as long as the caller holds
-/// it, which is how persistent holders (connections) stay safe. The
-/// reference returned by the legacy get() is only guaranteed while the
-/// entry remains cached — with the default unbounded config that is the
-/// cache's lifetime, as before.
+/// An rt::ShardedLru keyed by a structural hash: tenants contend only within
+/// a shard, and the structural same-descriptor comparison runs only on hash
+/// collisions. Over a configured budget, inserts evict cold entries and bump
+/// `sched.cache.evicted`. Schedules are built outside the shard lock; a
+/// lookup that loses a build race to a concurrent one is billed as a hit, so
+/// hits() + misses() always equals the number of lookups.
 class ScheduleCache {
  public:
-  ScheduleCache() : ScheduleCache(ScheduleCacheConfig{}) {}
-  explicit ScheduleCache(const ScheduleCacheConfig& cfg) { configure(cfg); }
-
-  ScheduleCache(const ScheduleCache&) = delete;
-  ScheduleCache& operator=(const ScheduleCache&) = delete;
+  explicit ScheduleCache(const ScheduleCacheConfig& cfg = {})
+      : lru_("sched.cache.evicted", cfg) {}
 
   /// Re-shard and re-budget, redistributing any existing entries (their
-  /// pinned shared_ptrs stay valid). Not safe against concurrent get().
-  void configure(const ScheduleCacheConfig& cfg) {
-    std::size_t n = 1;
-    while (n < cfg.shards) n <<= 1;
-    std::vector<std::shared_ptr<Entry>> survivors;
-    for (auto& s : shards_)
-      for (auto it = s->lru.rbegin(); it != s->lru.rend(); ++it)
-        survivors.push_back((*it)->self.lock());
-    cfg_ = cfg;
-    cfg_.shards = n;
-    shards_.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-    // Oldest-first reinsertion preserves relative LRU order per shard.
-    for (auto& e : survivors)
-      if (e) insert_entry(std::move(e));
-  }
+  /// pinned shared_ptrs stay valid). Not safe against concurrent lookups.
+  void configure(const ScheduleCacheConfig& cfg) { lru_.configure(cfg); }
 
-  /// Look up or build the schedule for this rank's roles, returning a
-  /// shared handle that pins the schedule across eviction and epoch
-  /// retirement. Persistent holders (connections that outlive many other
-  /// tenants' inserts) must use this form.
+  /// Look up or build the schedule for this rank's roles. The returned
+  /// handle pins the schedule across eviction and epoch retirement.
   std::shared_ptr<const RegionSchedule> get_shared(
       const dad::DescriptorPtr& src, const dad::DescriptorPtr& dst,
       int my_src_rank, int my_dst_rank) {
-    const std::shared_ptr<Entry> e =
-        lookup(src, dst, my_src_rank, my_dst_rank);
-    return {e, &e->sched};
-  }
-
-  /// Legacy lookup. The returned reference stays valid while the entry
-  /// remains cached — for the cache's lifetime under the default unbounded
-  /// config; until eviction when budgets are set (prefer get_shared then).
-  const RegionSchedule& get(const dad::DescriptorPtr& src,
-                            const dad::DescriptorPtr& dst, int my_src_rank,
-                            int my_dst_rank) {
-    return lookup(src, dst, my_src_rank, my_dst_rank)->sched;
+    static trace::Counter& hit_count = trace::counter("sched.cache.hits");
+    static trace::Counter& miss_count = trace::counter("sched.cache.misses");
+    const auto [entry, outcome] =
+        lru_.get_or_build({src, dst, my_src_rank, my_dst_rank}, [&] {
+          const std::int64_t t0 = trace::now_ns();
+          auto s = build_region_schedule(*src, *dst, my_src_rank, my_dst_rank);
+          return Built{std::move(s), trace::now_ns() - t0};
+        });
+    const bool miss = outcome == rt::LruOutcome::Miss;
+    (miss ? misses_ : hits_).fetch_add(1);
+    (miss ? miss_count : hit_count).add(1);
+    trace::instant(miss ? "sched.cache.miss" : "sched.cache.hit", "sched");
+    return {entry, &entry->sched};
   }
 
   [[nodiscard]] std::size_t hits() const { return hits_.load(); }
   [[nodiscard]] std::size_t misses() const { return misses_.load(); }
-  [[nodiscard]] std::size_t evicted() const { return evicted_.load(); }
+  [[nodiscard]] std::size_t evicted() const { return lru_.evicted(); }
+  [[nodiscard]] std::size_t size() const { return lru_.size(); }
 
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      n += s->lru.size();
-    }
-    return n;
-  }
-
-  /// Total resident bytes across shards (entry structs + schedule payload).
-  [[nodiscard]] std::size_t bytes() const {
-    std::size_t b = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      b += s->bytes;
-    }
-    return b;
-  }
+  /// Total resident bytes (per entry: a fixed estimate plus the schedule).
+  [[nodiscard]] std::size_t bytes() const { return lru_.bytes(); }
 
   /// Drop every entry and reset the hit/miss/eviction tallies: a cleared
   /// cache reports a clean slate, not rates against entries that no longer
   /// exist. Callers wanting the lifetime numbers snapshot stats() first.
   void clear() {
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      s->buckets.clear();
-      s->lru.clear();
-      s->bytes = 0;
-    }
+    lru_.clear();
     hits_.store(0);
     misses_.store(0);
-    evicted_.store(0);
   }
 
-  /// Rescale-epoch lifecycle (docs/RESCALING.md): entries built from here on
-  /// are stamped with `e`; retire_epochs_before(e) then drops every entry of
-  /// an older generation. An elastic component advances the epoch at the
-  /// start of a rescale, rebuilds its connections' schedules (fresh entries,
-  /// fresh pins), and only then retires the old generation — so no live
-  /// schedule handle ever dangles.
-  void set_epoch(std::uint64_t e) { epoch_.store(e); }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_.load(); }
+  /// Rescale-epoch lifecycle (docs/RESCALING.md): entries built or hit from
+  /// here on are stamped with `e`; retire_epochs_before(e) then drops every
+  /// entry of an older generation. An elastic component advances the epoch
+  /// at the start of a rescale, rebuilds its connections' schedules (fresh
+  /// entries, fresh pins), and only then retires the old generation — so no
+  /// live schedule handle ever dangles.
+  void set_epoch(std::uint64_t e) { lru_.set_generation(e); }
+  [[nodiscard]] std::uint64_t epoch() const { return lru_.generation(); }
 
-  /// Drop entries stamped with an epoch < `e`; returns how many. Schedule
-  /// references returned by get() for the dropped entries are invalidated;
-  /// get_shared() pins survive.
+  /// Drop entries stamped with an epoch < `e`; returns how many.
   std::size_t retire_epochs_before(std::uint64_t e) {
-    std::size_t n = 0;
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      for (auto it = s->buckets.begin(); it != s->buckets.end();) {
-        if (it->second->epoch < e) {
-          s->bytes -= it->second->bytes;
-          s->lru.erase(it->second->lru_it);
-          it = s->buckets.erase(it);
-          ++n;
-        } else {
-          ++it;
-        }
-      }
-    }
     static trace::Counter& retired = trace::counter("sched.cache.retired");
+    const std::size_t n = lru_.retire_before(e);
     retired.add(n);
     return n;
   }
@@ -185,156 +113,55 @@ class ScheduleCache {
     Stats s;
     s.hits = hits_.load();
     s.misses = misses_.load();
-    s.evicted = evicted_.load();
-    for (const auto& sh : shards_) {
-      std::lock_guard<std::mutex> lk(sh->mu);
-      s.bytes += sh->bytes;
-      for (const auto& [key, e] : sh->buckets) {
-        s.entries.push_back(
-            {key, e->my_src, e->my_dst, e->build_ns, e->sched.message_count()});
-        s.total_build_ns += e->build_ns;
-      }
-    }
+    s.evicted = lru_.evicted();
+    lru_.for_each([&s](const Key& k, const Built& b) {
+      s.bytes += Weigh{}(b);
+      s.total_build_ns += b.build_ns;
+      s.entries.push_back({KeyHash{}(k), k.my_src, k.my_dst, b.build_ns,
+                           b.sched.message_count()});
+    });
     return s;
   }
 
  private:
-  struct Entry {
+  struct Key {
     dad::DescriptorPtr src, dst;
     int my_src = -1, my_dst = -1;
+
+    friend bool operator==(const Key& a, const Key& b) {
+      // Pointer fast path, then structural.
+      return a.my_src == b.my_src && a.my_dst == b.my_dst &&
+             (a.src == b.src || *a.src == *b.src) &&
+             (a.dst == b.dst || *a.dst == *b.dst);
+    }
+  };
+
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      std::size_t h = k.src->structural_hash();
+      h = h * 1099511628211ull + k.dst->structural_hash();
+      h = h * 1099511628211ull + static_cast<std::size_t>(k.my_src + 1);
+      h = h * 1099511628211ull + static_cast<std::size_t>(k.my_dst + 1);
+      return h;
+    }
+  };
+
+  struct Built {
     RegionSchedule sched;
     std::int64_t build_ns = 0;
-    std::uint64_t epoch = 0;
-    std::size_t key = 0;
-    std::size_t bytes = 0;
-    std::list<Entry*>::iterator lru_it;
-    std::weak_ptr<Entry> self;  // for configure()'s redistribution
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_multimap<std::size_t, std::shared_ptr<Entry>> buckets;
-    std::list<Entry*> lru;  // front = most recently used
-    std::size_t bytes = 0;
+  // An entry's charge: the schedule plus a fixed 144-byte estimate of its
+  // bookkeeping (key, build time, stamps, LRU links).
+  struct Weigh {
+    std::size_t operator()(const Built& b) const {
+      return 144 + b.sched.byte_size();
+    }
   };
 
-  static bool same_desc(const dad::DescriptorPtr& a,
-                        const dad::DescriptorPtr& b) {
-    return a == b || *a == *b;  // pointer fast path, then structural
-  }
-
-  static std::size_t key_hash(const dad::Descriptor& src,
-                              const dad::Descriptor& dst, int my_src,
-                              int my_dst) {
-    std::size_t h = src.structural_hash();
-    h = h * 1099511628211ull + dst.structural_hash();
-    h = h * 1099511628211ull + static_cast<std::size_t>(my_src + 1);
-    h = h * 1099511628211ull + static_cast<std::size_t>(my_dst + 1);
-    return h;
-  }
-
-  [[nodiscard]] Shard& shard_for(std::size_t key) {
-    return *shards_[key & (cfg_.shards - 1)];
-  }
-
-  std::shared_ptr<Entry> lookup(const dad::DescriptorPtr& src,
-                                const dad::DescriptorPtr& dst,
-                                int my_src_rank, int my_dst_rank) {
-    static trace::Counter& hit_count = trace::counter("sched.cache.hits");
-    static trace::Counter& miss_count = trace::counter("sched.cache.misses");
-    const std::size_t key = key_hash(*src, *dst, my_src_rank, my_dst_rank);
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto [lo, hi] = sh.buckets.equal_range(key);
-    for (auto it = lo; it != hi; ++it) {
-      Entry& e = *it->second;
-      if (e.my_src == my_src_rank && e.my_dst == my_dst_rank &&
-          same_desc(e.src, src) && same_desc(e.dst, dst)) {
-        hits_.fetch_add(1);
-        hit_count.add(1);
-        // Touch: a hit re-stamps the entry, so an entry still in use at the
-        // current epoch survives retire_epochs_before; it also moves the
-        // entry to the warm end of the shard's LRU list.
-        e.epoch = epoch_.load();
-        sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);
-        trace::instant("sched.cache.hit", "sched");
-        return it->second;
-      }
-    }
-    misses_.fetch_add(1);
-    miss_count.add(1);
-    trace::instant("sched.cache.miss", "sched");
-    auto e = std::make_shared<Entry>();
-    e->src = src;
-    e->dst = dst;
-    e->my_src = my_src_rank;
-    e->my_dst = my_dst_rank;
-    e->epoch = epoch_.load();
-    e->key = key;
-    e->self = e;
-    const std::int64_t t0 = trace::now_ns();
-    e->sched = build_region_schedule(*src, *dst, my_src_rank, my_dst_rank);
-    e->build_ns = trace::now_ns() - t0;
-    e->bytes = sizeof(Entry) + e->sched.byte_size();
-    sh.lru.push_front(e.get());
-    e->lru_it = sh.lru.begin();
-    sh.bytes += e->bytes;
-    sh.buckets.emplace(key, e);
-    evict_over_budget(sh, e.get());
-    return e;
-  }
-
-  // Insert a pre-built entry into its home shard at the cold end (used by
-  // configure()'s redistribution; caller guarantees exclusivity).
-  void insert_entry(std::shared_ptr<Entry> e) {
-    Shard& sh = shard_for(e->key);
-    sh.lru.push_front(e.get());
-    e->lru_it = sh.lru.begin();
-    sh.bytes += e->bytes;
-    const std::size_t key = e->key;
-    sh.buckets.emplace(key, std::move(e));
-    evict_over_budget(sh, nullptr);
-  }
-
-  // Drop cold entries from `sh` while this shard exceeds its slice of the
-  // budget. `keep` (the entry being returned from the current lookup) is
-  // never evicted, so a freshly built schedule is always handed back alive
-  // even under a budget smaller than one entry.
-  void evict_over_budget(Shard& sh, const Entry* keep) {
-    const std::size_t cap_entries =
-        cfg_.max_entries ? std::max<std::size_t>(1, cfg_.max_entries /
-                                                        cfg_.shards)
-                         : 0;
-    const std::size_t cap_bytes =
-        cfg_.max_bytes
-            ? std::max<std::size_t>(1, cfg_.max_bytes / cfg_.shards)
-            : 0;
-    static trace::Counter& evict_count = trace::counter("sched.cache.evicted");
-    while (!sh.lru.empty() &&
-           ((cap_entries && sh.lru.size() > cap_entries) ||
-            (cap_bytes && sh.bytes > cap_bytes))) {
-      Entry* victim = sh.lru.back();
-      if (victim == keep) break;
-      auto [lo, hi] = sh.buckets.equal_range(victim->key);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second.get() == victim) {
-          sh.bytes -= victim->bytes;
-          sh.lru.pop_back();
-          sh.buckets.erase(it);
-          break;
-        }
-      }
-      evicted_.fetch_add(1);
-      evict_count.add(1);
-    }
-  }
-
-  ScheduleCacheConfig cfg_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  rt::ShardedLru<Key, Built, KeyHash, Weigh> lru_;
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> evicted_{0};
-  std::atomic<std::uint64_t> epoch_{0};
 };
 
 }  // namespace mxn::sched

@@ -93,6 +93,9 @@ enum class BuildPath {
   /// The reference nested patch-pair loops (with bounding-box peer
   /// pruning): O(peers · P_mine · P_theirs).
   Naive,
+  /// The naive loops with bounding-box pruning disabled too: the ground
+  /// truth the differential tests compare every fast path against.
+  Reference,
   /// Per-rank sorted spatial index (Descriptor::spatial_index): each local
   /// patch finds overlapping peer patches by binary search + bounded sweep,
   /// then pairs are re-sorted into the canonical nesting.
@@ -111,14 +114,8 @@ enum class BuildPath {
 /// same global point.
 RegionSchedule build_region_schedule(const Descriptor& src,
                                      const Descriptor& dst, int my_src_rank,
-                                     int my_dst_rank, BuildPath path);
-
-/// Back-compat entry point. `prune = true` is BuildPath::Auto; `prune =
-/// false` is the naive reference with bounding-box pruning disabled too —
-/// the ground truth the differential tests compare every fast path against.
-RegionSchedule build_region_schedule(const Descriptor& src,
-                                     const Descriptor& dst, int my_src_rank,
-                                     int my_dst_rank, bool prune = true);
+                                     int my_dst_rank,
+                                     BuildPath path = BuildPath::Auto);
 
 /// One rank's share of an old→new *delta* redistribution — the migration
 /// step of an elastic rescale (docs/RESCALING.md). Regions whose old and

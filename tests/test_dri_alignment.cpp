@@ -210,8 +210,8 @@ TEST(Alignment, ConformingAlignedArraysShareCachedSchedules) {
   auto a2 = dad::make_aligned(tpl, Point{2}, Point{8});  // same alignment
   auto bdesc = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(8, 2)});
   mxn::sched::ScheduleCache cache;
-  cache.get(a1, bdesc, 0, -1);
-  cache.get(a2, bdesc, 0, -1);  // structurally equal -> hit
+  cache.get_shared(a1, bdesc, 0, -1);
+  cache.get_shared(a2, bdesc, 0, -1);  // structurally equal -> hit
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }

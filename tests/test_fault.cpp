@@ -71,15 +71,14 @@ std::vector<int> iota_ranks(int from, int count) {
 TEST(FaultPlan, ParseAndRoundTrip) {
   auto p = rt::FaultPlan::parse(
       "seed=7,drop=0.25,dup=0.5,reorder=0.125,delay=1,delay_ms=3,"
-      "kill_rank=2,kill_after=40,min_tag=1000");
+      "kill=2@40,min_tag=1000");
   EXPECT_EQ(p.seed, 7u);
   EXPECT_DOUBLE_EQ(p.drop, 0.25);
   EXPECT_DOUBLE_EQ(p.dup, 0.5);
   EXPECT_DOUBLE_EQ(p.reorder, 0.125);
   EXPECT_DOUBLE_EQ(p.delay, 1.0);
   EXPECT_EQ(p.delay_ms, 3);
-  EXPECT_EQ(p.kill_rank, 2);
-  EXPECT_EQ(p.kill_after, 40);
+  EXPECT_EQ(p.kills, (std::vector<rt::KillSpec>{{2, 40}}));
   EXPECT_EQ(p.min_tag, 1000);
   EXPECT_TRUE(p.enabled());
 
@@ -87,7 +86,7 @@ TEST(FaultPlan, ParseAndRoundTrip) {
   auto q = rt::FaultPlan::parse(p.to_string());
   EXPECT_EQ(q.seed, p.seed);
   EXPECT_DOUBLE_EQ(q.drop, p.drop);
-  EXPECT_EQ(q.kill_after, p.kill_after);
+  EXPECT_EQ(q.kills, p.kills);
   EXPECT_EQ(q.min_tag, p.min_tag);
 
   EXPECT_FALSE(rt::FaultPlan{}.enabled());
@@ -107,12 +106,10 @@ TEST(FaultPlan, KillListParseAndRoundTrip) {
   EXPECT_EQ(q.kills, p.kills);
   EXPECT_EQ(q.min_tag, p.min_tag);
 
-  // all_kills() merges the legacy pair with the list; when a rank appears
-  // in both, the earliest operation index wins.
+  // all_kills() keeps one kill per rank; when a rank appears twice, the
+  // earliest operation index wins.
   rt::FaultPlan m;
-  m.kill_rank = 2;
-  m.kill_after = 40;
-  m.kills = {{5, 90}, {2, 10}};
+  m.kills = {{2, 40}, {5, 90}, {2, 10}};
   const auto all = m.all_kills();
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0], (rt::KillSpec{2, 10}));
@@ -129,6 +126,7 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(rt::FaultPlan::parse("kill=2"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("kill=2@"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("kill=x@4"), rt::UsageError);
+  EXPECT_THROW(rt::FaultPlan::parse("kill_rank=2"), rt::UsageError);
 }
 
 TEST(FaultPlan, FromEnvironment) {
@@ -235,7 +233,7 @@ TEST(FaultRt, KillRaisesTypedErrorsOnEveryRank) {
         });
       },
       {.default_recv_timeout_ms = 200,
-       .faults = rt::FaultPlan{.kill_rank = 1, .kill_after = 4}});
+       .faults = rt::FaultPlan{.kills = {{1, 4}}}});
 
   EXPECT_EQ(outcome[1], "killed");
   EXPECT_EQ(outcome[0], "timeout");
@@ -368,7 +366,7 @@ TEST(FaultCollectives, BcastInteriorKillStarvesOnlyItsSubtree) {
         });
       },
       {.default_recv_timeout_ms = 200,
-       .faults = rt::FaultPlan{.kill_rank = 2, .kill_after = 0}});
+       .faults = rt::FaultPlan{.kills = {{2, 0}}}});
   EXPECT_EQ(outcome[2], "killed");
   EXPECT_EQ(outcome[3], "timeout");
   for (int r : {0, 1, 4, 5, 6, 7}) EXPECT_EQ(outcome[r], "ok") << "rank " << r;
@@ -387,7 +385,7 @@ TEST(FaultCollectives, GatherInteriorKillTimesOutAncestors) {
             [&] { (void)world.gather(rt::to_bytes(world.rank()), 0); });
       },
       {.default_recv_timeout_ms = 200,
-       .faults = rt::FaultPlan{.kill_rank = 6, .kill_after = 0}});
+       .faults = rt::FaultPlan{.kills = {{6, 0}}}});
   EXPECT_EQ(outcome[6], "killed");
   EXPECT_EQ(outcome[4], "timeout");
   EXPECT_EQ(outcome[0], "timeout");
@@ -405,7 +403,7 @@ TEST(FaultCollectives, BarrierKillTimesOutEverySurvivor) {
         outcome[world.rank()] = classify([&] { world.barrier(); });
       },
       {.default_recv_timeout_ms = 200,
-       .faults = rt::FaultPlan{.kill_rank = 4, .kill_after = 0}});
+       .faults = rt::FaultPlan{.kills = {{4, 0}}}});
   EXPECT_EQ(outcome[4], "killed");
   for (int r : {0, 1, 2, 3, 5})
     EXPECT_EQ(outcome[r], "timeout") << "rank " << r;
@@ -414,9 +412,9 @@ TEST(FaultCollectives, BarrierKillTimesOutEverySurvivor) {
 TEST(FaultCollectives, AllreduceMidExchangeKillPartitionsOutcomes) {
   // Recursive doubling, n = 8. Rank 5's counted ops: round-1 send (0) and
   // receive (1) with partner 4, then the round-2 send to partner 7 — where
-  // kill_after = 2 fires, before delivery. Round 2 starves 7; round 3 then
-  // starves 5's and 7's round-3 partners (1 and 3). The 0/2/4/6 exchange
-  // subgraph never routes through the dead rank and completes.
+  // its kill at operation 2 fires, before delivery. Round 2 starves 7;
+  // round 3 then starves 5's and 7's round-3 partners (1 and 3). The 0/2/4/6
+  // exchange subgraph never routes through the dead rank and completes.
   std::array<std::string, 8> outcome;
   rt::spawn(
       8,
@@ -427,7 +425,7 @@ TEST(FaultCollectives, AllreduceMidExchangeKillPartitionsOutcomes) {
         });
       },
       {.default_recv_timeout_ms = 250,
-       .faults = rt::FaultPlan{.kill_rank = 5, .kill_after = 2}});
+       .faults = rt::FaultPlan{.kills = {{5, 2}}}});
   EXPECT_EQ(outcome[5], "killed");
   for (int r : {1, 3, 7}) EXPECT_EQ(outcome[r], "timeout") << "rank " << r;
   for (int r : {0, 2, 4, 6}) EXPECT_EQ(outcome[r], "ok") << "rank " << r;
@@ -609,7 +607,7 @@ TEST(FaultMxN, KillMidStreamFailsTypedEverywhereThenSurvivorsSucceed) {
        .default_recv_timeout_ms = 400,
        // Kill the destination leader (world rank 2) ~80 counted ops in:
        // establishment is long done, the transfer stream is in flight.
-       .faults = rt::FaultPlan{.kill_rank = 2, .kill_after = 80}});
+       .faults = rt::FaultPlan{.kills = {{2, 80}}}});
 
   EXPECT_EQ(outcome[2], "killed");
   for (int r : {0, 1, 3}) {

@@ -94,13 +94,13 @@ TEST(ScheduleCacheEpoch, RetireDropsOlderGenerations) {
   sched::ScheduleCache cache;
   auto a = desc_for(0, 2);
   auto b = desc_for(1, 3);
-  cache.get(a, b, 0, -1);  // epoch 0 entry
+  cache.get_shared(a, b, 0, -1);  // epoch 0 entry
   EXPECT_EQ(cache.size(), 1u);
 
   cache.set_epoch(1);
   EXPECT_EQ(cache.epoch(), 1u);
   auto c = desc_for(1, 2);
-  cache.get(a, c, 0, -1);  // epoch 1 entry
+  cache.get_shared(a, c, 0, -1);  // epoch 1 entry
   EXPECT_EQ(cache.size(), 2u);
 
   EXPECT_EQ(cache.retire_epochs_before(1), 1u);  // only the epoch-0 entry
@@ -115,9 +115,9 @@ TEST(ScheduleCacheEpoch, HitRestampsEntry) {
   sched::ScheduleCache cache;
   auto a = desc_for(0, 2);
   auto b = desc_for(1, 3);
-  cache.get(a, b, 0, -1);  // built at epoch 0
+  cache.get_shared(a, b, 0, -1);  // built at epoch 0
   cache.set_epoch(5);
-  cache.get(a, b, 0, -1);  // hit: re-stamped to epoch 5
+  cache.get_shared(a, b, 0, -1);  // hit: re-stamped to epoch 5
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.retire_epochs_before(5), 0u);
   EXPECT_EQ(cache.size(), 1u);
@@ -136,8 +136,8 @@ TEST(ScheduleCacheEpoch, VersionedDescriptorsAreDistinctKeys) {
 
   sched::ScheduleCache cache;
   auto b = desc_for(1, 3);
-  cache.get(a, b, 0, -1);
-  cache.get(a2, b, 0, -1);
+  cache.get_shared(a, b, 0, -1);
+  cache.get_shared(a2, b, 0, -1);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
 }

@@ -281,8 +281,10 @@ TEST(RegionSchedule, PruningIsExact) {
   auto dst = dad::make_regular(std::vector<AxisDist>{
       AxisDist::block_cyclic(16, 3, 2), AxisDist::cyclic(6, 2)});
   for (int r = 0; r < src->nranks(); ++r) {
-    auto a = sched::build_region_schedule(*src, *dst, r, -1, true);
-    auto b = sched::build_region_schedule(*src, *dst, r, -1, false);
+    auto a = sched::build_region_schedule(*src, *dst, r, -1,
+                                          sched::BuildPath::Auto);
+    auto b = sched::build_region_schedule(*src, *dst, r, -1,
+                                          sched::BuildPath::Reference);
     ASSERT_EQ(a.sends.size(), b.sends.size());
     for (std::size_t i = 0; i < a.sends.size(); ++i) {
       EXPECT_EQ(a.sends[i].peer, b.sends[i].peer);
@@ -290,8 +292,10 @@ TEST(RegionSchedule, PruningIsExact) {
     }
   }
   for (int r = 0; r < dst->nranks(); ++r) {
-    auto a = sched::build_region_schedule(*src, *dst, -1, r, true);
-    auto b = sched::build_region_schedule(*src, *dst, -1, r, false);
+    auto a = sched::build_region_schedule(*src, *dst, -1, r,
+                                          sched::BuildPath::Auto);
+    auto b = sched::build_region_schedule(*src, *dst, -1, r,
+                                          sched::BuildPath::Reference);
     ASSERT_EQ(a.recvs.size(), b.recvs.size());
     for (std::size_t i = 0; i < a.recvs.size(); ++i)
       EXPECT_EQ(a.recvs[i].elements, b.recvs[i].elements);
@@ -434,19 +438,19 @@ TEST(ScheduleCache, HitsOnRepeatAndConformingArrays) {
   auto src = dad::make_regular(std::vector<AxisDist>{AxisDist::block(24, 2)});
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
   sched::ScheduleCache cache;
-  const auto& s1 = cache.get(src, dst, 0, -1);
-  const auto& s2 = cache.get(src, dst, 0, -1);
-  EXPECT_EQ(&s1, &s2);
+  const auto s1 = cache.get_shared(src, dst, 0, -1);
+  const auto s2 = cache.get_shared(src, dst, 0, -1);
+  EXPECT_EQ(s1, s2);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 
   // A structurally equal descriptor (different object) also hits.
   auto src2 = dad::make_regular(std::vector<AxisDist>{AxisDist::block(24, 2)});
-  cache.get(src2, dst, 0, -1);
+  cache.get_shared(src2, dst, 0, -1);
   EXPECT_EQ(cache.hits(), 2u);
 
   // Different role or template misses.
-  cache.get(src, dst, 1, -1);
+  cache.get_shared(src, dst, 1, -1);
   EXPECT_EQ(cache.misses(), 2u);
 }
 
@@ -454,9 +458,9 @@ TEST(ScheduleCache, StatsReportPerEntryBuildTime) {
   auto src = dad::make_regular(std::vector<AxisDist>{AxisDist::block(48, 3)});
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(48, 4)});
   sched::ScheduleCache cache;
-  cache.get(src, dst, 0, -1);
-  cache.get(src, dst, 1, -1);
-  cache.get(src, dst, 0, -1);  // hit; must not add an entry
+  cache.get_shared(src, dst, 0, -1);
+  cache.get_shared(src, dst, 1, -1);
+  cache.get_shared(src, dst, 0, -1);  // hit; must not add an entry
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
@@ -478,12 +482,14 @@ TEST(ScheduleCache, CacheHitReturnsFastPathSchedule) {
   auto dst = dad::make_regular(std::vector<AxisDist>{
       AxisDist::block(60, 2), AxisDist::block_cyclic(20, 2, 3)});
   sched::ScheduleCache cache;
-  const auto& built = cache.get(src, dst, 2, 1);
-  const auto& again = cache.get(src, dst, 2, 1);
-  EXPECT_EQ(&built, &again);
+  const auto pin = cache.get_shared(src, dst, 2, 1);
+  const auto again = cache.get_shared(src, dst, 2, 1);
+  EXPECT_EQ(pin, again);
+  const auto& built = *pin;
   EXPECT_EQ(cache.hits(), 1u);
 
-  const auto ref = sched::build_region_schedule(*src, *dst, 2, 1, false);
+  const auto ref = sched::build_region_schedule(*src, *dst, 2, 1,
+                                                sched::BuildPath::Reference);
   ASSERT_EQ(built.sends.size(), ref.sends.size());
   ASSERT_EQ(built.recvs.size(), ref.recvs.size());
   for (std::size_t k = 0; k < ref.sends.size(); ++k) {
@@ -537,14 +543,14 @@ TEST(ScheduleCache, CachedScheduleServesEveryConformingArray) {
     if (md >= 0) b = std::make_unique<dad::DistArray<double>>(dst, md);
 
     sched::ScheduleCache cache;
-    sched::execute<double>(cache.get(src, dst, ms, md), a1.get(), b.get(), c,
-                           11);
+    sched::execute<double>(*cache.get_shared(src, dst, ms, md), a1.get(),
+                           b.get(), c, 11);
     if (md >= 0)
       b->for_each_owned([](const Point& p, const double& v) {
         EXPECT_DOUBLE_EQ(v, double(p[0]));
       });
-    sched::execute<double>(cache.get(src, dst, ms, md), a2.get(), b.get(), c,
-                           12);
+    sched::execute<double>(*cache.get_shared(src, dst, ms, md), a2.get(),
+                           b.get(), c, 12);
     if (md >= 0)
       b->for_each_owned([](const Point& p, const double& v) {
         EXPECT_DOUBLE_EQ(v, 100.0 + double(p[0]));
@@ -574,8 +580,8 @@ TEST(ScheduleCache, ClearResetsTallies) {
   auto src = tenant_desc(0);
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
   sched::ScheduleCache cache;
-  cache.get(src, dst, 0, -1);
-  cache.get(src, dst, 0, -1);
+  cache.get_shared(src, dst, 0, -1);
+  cache.get_shared(src, dst, 0, -1);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 
@@ -589,7 +595,7 @@ TEST(ScheduleCache, ClearResetsTallies) {
   EXPECT_EQ(cache.bytes(), 0u);
 
   // ...and keeps counting correctly afterwards.
-  cache.get(src, dst, 0, -1);
+  cache.get_shared(src, dst, 0, -1);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 }
@@ -600,20 +606,20 @@ TEST(ScheduleCache, EntryCapEvictsLeastRecentlyUsed) {
   sched::ScheduleCache cache(cfg);
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
 
-  cache.get(tenant_desc(0), dst, 0, -1);
-  cache.get(tenant_desc(1), dst, 0, -1);
-  cache.get(tenant_desc(0), dst, 0, -1);  // touch 0: 1 is now coldest
+  cache.get_shared(tenant_desc(0), dst, 0, -1);
+  cache.get_shared(tenant_desc(1), dst, 0, -1);
+  cache.get_shared(tenant_desc(0), dst, 0, -1);  // touch 0: 1 is now coldest
   EXPECT_EQ(cache.evicted(), 0u);
 
-  cache.get(tenant_desc(2), dst, 0, -1);  // over cap: evicts 1
+  cache.get_shared(tenant_desc(2), dst, 0, -1);  // over cap: evicts 1
   EXPECT_EQ(cache.evicted(), 1u);
   EXPECT_EQ(cache.size(), 2u);
 
   const auto hits_before = cache.hits();
-  cache.get(tenant_desc(0), dst, 0, -1);  // survivor: hit
+  cache.get_shared(tenant_desc(0), dst, 0, -1);  // survivor: hit
   EXPECT_EQ(cache.hits(), hits_before + 1);
   const auto misses_before = cache.misses();
-  cache.get(tenant_desc(1), dst, 0, -1);  // victim: rebuilt
+  cache.get_shared(tenant_desc(1), dst, 0, -1);  // victim: rebuilt
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
 
@@ -621,17 +627,37 @@ TEST(ScheduleCache, ByteBudgetBoundsResidency) {
   // Learn one entry's cost, then budget for ~3 of them and insert 8.
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
   sched::ScheduleCache probe;
-  probe.get(tenant_desc(0), dst, 0, -1);
+  probe.get_shared(tenant_desc(0), dst, 0, -1);
   const std::size_t per_entry = probe.bytes();
   ASSERT_GT(per_entry, 0u);
 
   sched::ScheduleCacheConfig cfg;
   cfg.max_bytes = 3 * per_entry + per_entry / 2;
   sched::ScheduleCache cache(cfg);
-  for (int i = 0; i < 8; ++i) cache.get(tenant_desc(i), dst, 0, -1);
+  for (int i = 0; i < 8; ++i) cache.get_shared(tenant_desc(i), dst, 0, -1);
   EXPECT_GT(cache.evicted(), 0u);
   EXPECT_LE(cache.bytes(), cfg.max_bytes);
   EXPECT_LT(cache.size(), 8u);
+}
+
+TEST(ScheduleCache, InsertNeverEvictsTheEntryItAdds) {
+  // A byte budget below one entry's cost: each insert keeps the schedule it
+  // just built resident and evicts every older entry of its shard.
+  sched::ScheduleCacheConfig cfg;
+  cfg.max_bytes = 1;
+  sched::ScheduleCache cache(cfg);
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
+
+  cache.get_shared(tenant_desc(0), dst, 0, -1);
+  cache.get_shared(tenant_desc(0), dst, 0, -1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.evicted(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  cache.get_shared(tenant_desc(1), dst, 0, -1);  // evicts tenant 0's entry
+  EXPECT_EQ(cache.evicted(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ScheduleCache, GetSharedPinsScheduleAcrossEviction) {
@@ -642,8 +668,8 @@ TEST(ScheduleCache, GetSharedPinsScheduleAcrossEviction) {
 
   auto pinned = cache.get_shared(tenant_desc(0), dst, 0, -1);
   const std::size_t messages = pinned->message_count();
-  cache.get(tenant_desc(1), dst, 0, -1);  // evicts tenant 0's entry
-  cache.get(tenant_desc(2), dst, 0, -1);  // evicts tenant 1's entry
+  cache.get_shared(tenant_desc(1), dst, 0, -1);  // evicts tenant 0's entry
+  cache.get_shared(tenant_desc(2), dst, 0, -1);  // evicts tenant 1's entry
   EXPECT_GE(cache.evicted(), 2u);
 
   // The pin keeps the evicted schedule fully alive and unchanged.
@@ -654,7 +680,7 @@ TEST(ScheduleCache, GetSharedPinsScheduleAcrossEviction) {
 TEST(ScheduleCache, ConfigureReshardsWithoutLosingEntries) {
   sched::ScheduleCache cache;
   auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
-  for (int i = 0; i < 6; ++i) cache.get(tenant_desc(i), dst, 0, -1);
+  for (int i = 0; i < 6; ++i) cache.get_shared(tenant_desc(i), dst, 0, -1);
   EXPECT_EQ(cache.size(), 6u);
   const std::size_t bytes = cache.bytes();
 
@@ -665,16 +691,16 @@ TEST(ScheduleCache, ConfigureReshardsWithoutLosingEntries) {
   EXPECT_EQ(cache.bytes(), bytes);
 
   const auto misses_before = cache.misses();
-  for (int i = 0; i < 6; ++i) cache.get(tenant_desc(i), dst, 0, -1);
+  for (int i = 0; i < 6; ++i) cache.get_shared(tenant_desc(i), dst, 0, -1);
   EXPECT_EQ(cache.misses(), misses_before);  // all redistributed entries hit
 }
 
 TEST(ScheduleCache, ConcurrentLookupsAndRetirementStayExact) {
-  // TSan-covered: many tenant threads hammer get()/get_shared() across a
+  // TSan-covered: many tenant threads hammer get_shared() across a
   // sharded, budgeted cache while another thread advances the epoch and
   // retires old generations. The tallies must stay exact: every lookup is
-  // either a hit or a miss (builds run inside the shard lock), regardless
-  // of interleaving with eviction and retirement.
+  // either a hit or a miss (a lookup that loses a build race is billed as a
+  // hit), regardless of interleaving with eviction and retirement.
   sched::ScheduleCacheConfig cfg;
   cfg.shards = 4;
   cfg.max_entries = 16;

@@ -179,8 +179,8 @@ TEST(ScheduleDiff, AllPathsMatchNaiveReferenceAcrossRandomSweep) {
         for (int r = 0; r < rmax; ++r) {
           const int ms = r < co.m ? r : -1;
           const int md = r < co.n ? r : -1;
-          const auto ref =
-              sched::build_region_schedule(*src, *dst, ms, md, false);
+          const auto ref = sched::build_region_schedule(
+              *src, *dst, ms, md, sched::BuildPath::Reference);
           expect_identical(sched::build_region_schedule(
                                *src, *dst, ms, md, sched::BuildPath::Naive),
                            ref, tag + " [naive+prune r" + std::to_string(r));
@@ -608,6 +608,34 @@ TEST(FootprintCache, ConcurrentColdLookupsCountOneMissRestRacesOrHits) {
   const auto s = lin::footprint_cache_stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits + s.races, static_cast<std::size_t>(kThreads) - 1);
+  lin::footprint_cache_clear();
+}
+
+TEST(FootprintCache, InsertNeverEvictsTheEntryItAdds) {
+  // Same rule as the schedule cache: under a byte budget below one entry's
+  // cost, a fresh footprint stays resident and evicts the older one.
+  auto d = dad::make_regular(std::vector<AxisDist>{AxisDist::block(48, 4)});
+  const auto l = lin::Linearization::row_major(1, Point{48, 0, 0, 0});
+
+  lin::footprint_cache_clear();
+  lin::FootprintCacheConfig cfg;
+  cfg.max_bytes = 1;
+  lin::footprint_cache_configure(cfg);
+
+  (void)lin::footprint_cached(*d, 0, l);
+  (void)lin::footprint_cached(*d, 0, l);
+  auto s = lin::footprint_cache_stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.entries, 1u);
+
+  (void)lin::footprint_cached(*d, 1, l);  // evicts rank 0's footprint
+  s = lin::footprint_cache_stats();
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.entries, 1u);
+
+  lin::footprint_cache_configure(lin::FootprintCacheConfig{});
   lin::footprint_cache_clear();
 }
 
