@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "rt/communicator.hpp"
-#include "sidl/types.hpp"
+#include "sidl/registry.hpp"
 
 namespace mxn::dca {
 
@@ -83,27 +83,14 @@ class DcaPort;
 /// distributed framework where process participation is chosen per call by
 /// passing a communicator group, parallel data layouts are user-specified
 /// counts/displacements, and components start concurrently through Go
-/// ports.
-class DcaFramework {
+/// ports. Components, ports and connections live in the shared registry
+/// (sidl/registry.hpp), on DCA's own listen-tag range.
+class DcaFramework : public sidl::Registry<DcaServant, DcaPort> {
  public:
   DcaFramework(rt::Communicator world, DcaPolicy policy = {});
 
-  /// Collective over the world.
-  void instantiate(const std::string& name, std::vector<int> world_ranks);
-  [[nodiscard]] bool member_of(const std::string& name) const;
-  [[nodiscard]] rt::Communicator cohort(const std::string& name) const;
-
-  void add_provides(const std::string& comp, const std::string& port,
-                    std::shared_ptr<DcaServant> servant);
-  void register_uses(const std::string& comp, const std::string& port,
-                     sidl::Interface iface);
-
   /// Register a Go port body for a component; start_all() runs them.
   void add_go(const std::string& comp, std::function<int()> body);
-
-  /// Collective over the world.
-  void connect(const std::string& user_comp, const std::string& uses_port,
-               const std::string& prov_comp, const std::string& prov_port);
 
   [[nodiscard]] std::shared_ptr<DcaPort> get_port(
       const std::string& comp, const std::string& uses_port);
@@ -116,26 +103,8 @@ class DcaFramework {
   /// Provider side: service invocations. A collective call counts once.
   int serve(const std::string& comp, int max_calls = -1);
 
-  [[nodiscard]] rt::Communicator world() const { return world_; }
-
  private:
   friend class DcaPort;
-
-  struct ComponentInfo {
-    int index = 0;
-    std::vector<int> ranks;
-    rt::Communicator cohort;
-    std::map<std::string, std::shared_ptr<DcaServant>> provides;
-    std::map<std::string, sidl::Interface> uses;
-    std::vector<std::function<int()>> go_bodies;
-  };
-
-  struct ConnectionInfo {
-    int id = 0;
-    std::string user_comp, uses_port, prov_comp, prov_port;
-    std::vector<int> caller_ranks, callee_ranks;
-    int listen = 0;
-  };
 
   /// A header set aside because the serve loop was committed to another
   /// call when it arrived.
@@ -144,25 +113,16 @@ class DcaFramework {
     rt::Buffer payload;
   };
 
-  ComponentInfo& comp(const std::string& name);
-  const ComponentInfo& comp(const std::string& name) const;
-
   /// Service exactly one logical invocation (gathering all fragments of the
   /// committed call before touching any other); returns false on shutdown.
-  bool serve_one(ComponentInfo& provider);
+  bool serve_one(Component& provider);
 
-  void run_call(ConnectionInfo& conn, DcaServant& servant,
+  void run_call(Connection& conn, DcaServant& servant,
                 std::vector<rt::Message> fragments);
 
-  rt::Communicator world_;
   DcaPolicy policy_;
-  std::map<std::string, ComponentInfo> comps_;
-  std::map<int, ConnectionInfo> conns_;
-  std::map<std::string, int> uses_conn_;
-  std::map<std::string, std::shared_ptr<DcaPort>> proxies_;
+  std::map<std::string, std::vector<std::function<int()>>> go_;
   std::deque<PendingHeader> pending_;
-  int next_comp_index_ = 0;
-  int next_conn_id_ = 0;
 };
 
 /// Caller-side proxy. Every port method takes the participation

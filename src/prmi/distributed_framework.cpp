@@ -10,12 +10,10 @@
 namespace mxn::prmi {
 
 using rt::UsageError;
-using sidl::Mode;
+using sidl::takes_input;
+using sidl::yields_output;
 
 namespace {
-
-bool takes_input(Mode m) { return m != Mode::Out; }
-bool yields_output(Mode m) { return m != Mode::In; }
 
 /// Indices of the parallel parameters of a method, in signature order.
 std::vector<int> parallel_params(const sidl::Method& m) {
@@ -52,178 +50,30 @@ sched::Coupling make_coupling(rt::Communicator world,
 // DistributedFramework
 // ===========================================================================
 
-DistributedFramework::DistributedFramework(rt::Communicator world)
-    : world_(std::move(world)) {}
-
-DistributedFramework::ComponentInfo& DistributedFramework::comp(
-    const std::string& name) {
-  auto it = comps_.find(name);
-  if (it == comps_.end())
-    throw UsageError("no component named '" + name + "'");
-  return it->second;
-}
-
-const DistributedFramework::ComponentInfo& DistributedFramework::comp(
-    const std::string& name) const {
-  auto it = comps_.find(name);
-  if (it == comps_.end())
-    throw UsageError("no component named '" + name + "'");
-  return it->second;
-}
-
-void DistributedFramework::instantiate(const std::string& name,
-                                       std::vector<int> world_ranks) {
-  if (comps_.count(name))
-    throw UsageError("component '" + name + "' already instantiated");
-  if (world_ranks.empty())
-    throw UsageError("component needs at least one process");
-  for (int r : world_ranks)
-    if (r < 0 || r >= world_.size())
-      throw UsageError("component rank out of world range");
-
-  const bool member = std::find(world_ranks.begin(), world_ranks.end(),
-                                world_.rank()) != world_ranks.end();
-  // Key the split so cohort rank order follows the world_ranks list order.
-  int key = 0;
-  if (member) {
-    key = static_cast<int>(std::find(world_ranks.begin(), world_ranks.end(),
-                                     world_.rank()) -
-                           world_ranks.begin());
-  }
-  auto cohort = world_.split(member ? 0 : rt::kUndefinedColor, key);
-
-  ComponentInfo info;
-  info.index = next_comp_index_++;
-  info.ranks = std::move(world_ranks);
-  info.cohort = std::move(cohort);
-  comps_[name] = std::move(info);
-}
-
-bool DistributedFramework::member_of(const std::string& name) const {
-  const auto& c = comp(name);
-  return std::find(c.ranks.begin(), c.ranks.end(), world_.rank()) !=
-         c.ranks.end();
-}
-
-rt::Communicator DistributedFramework::cohort(const std::string& name) const {
-  return comp(name).cohort;
-}
-
-void DistributedFramework::add_provides(const std::string& comp_name,
-                                        const std::string& port,
-                                        std::shared_ptr<Servant> servant) {
-  if (!servant) throw UsageError("servant must not be null");
-  auto& c = comp(comp_name);
-  if (!member_of(comp_name))
-    throw UsageError("add_provides: this process is not a member of '" +
-                     comp_name + "'");
-  if (c.provides.count(port))
-    throw UsageError("component '" + comp_name +
-                     "' already provides port '" + port + "'");
-  c.provides[port] = std::move(servant);
-}
-
-void DistributedFramework::register_uses(const std::string& comp_name,
-                                         const std::string& port,
-                                         sidl::Interface iface) {
-  auto& c = comp(comp_name);
-  if (!member_of(comp_name))
-    throw UsageError("register_uses: this process is not a member of '" +
-                     comp_name + "'");
-  if (c.uses.count(port))
-    throw UsageError("component '" + comp_name + "' already uses port '" +
-                     port + "'");
-  c.uses[port] = std::move(iface);
-}
-
-void DistributedFramework::connect(const std::string& user_comp,
-                                   const std::string& uses_port,
-                                   const std::string& prov_comp,
-                                   const std::string& prov_port) {
-  auto& uc = comp(user_comp);
-  auto& pc = comp(prov_comp);
-
-  // The provider's first rank broadcasts the qualified interface name so the
-  // user side can verify the connection is type-correct.
-  rt::PackBuffer b;
-  if (world_.rank() == pc.ranks[0]) {
-    auto it = pc.provides.find(prov_port);
-    if (it == pc.provides.end())
-      throw UsageError("component '" + prov_comp +
-                       "' does not provide port '" + prov_port + "'");
-    b.pack(it->second->interface_desc().qualified);
-  }
-  auto bytes = world_.bcast(std::move(b).take(), pc.ranks[0]);
-  rt::UnpackBuffer u(bytes);
-  const std::string qname = u.unpack_string();
-
-  if (member_of(prov_comp) && !pc.provides.count(prov_port))
-    throw UsageError("component '" + prov_comp +
-                     "' does not provide port '" + prov_port + "'");
-
-  if (member_of(user_comp)) {
-    auto it = uc.uses.find(uses_port);
-    if (it == uc.uses.end())
-      throw UsageError("component '" + user_comp + "' has no uses port '" +
-                       uses_port + "'");
-    if (it->second.qualified != qname)
-      throw UsageError("interface mismatch: uses port expects '" +
-                       it->second.qualified + "', provider implements '" +
-                       qname + "'");
-  }
-
-  ConnectionInfo ci;
-  ci.id = next_conn_id_++;
-  ci.user_comp = user_comp;
-  ci.uses_port = uses_port;
-  ci.prov_comp = prov_comp;
-  ci.prov_port = prov_port;
-  ci.caller_ranks = uc.ranks;
-  ci.callee_ranks = pc.ranks;
-  ci.listen = listen_tag(pc.index);
-  const int id = ci.id;
-  conns_[id] = std::move(ci);
-  if (member_of(user_comp)) uses_conn_[user_comp + "." + uses_port] = id;
-}
-
 std::shared_ptr<RemotePort> DistributedFramework::get_port(
     const std::string& comp_name, const std::string& uses_port) {
-  auto it = uses_conn_.find(comp_name + "." + uses_port);
-  if (it == uses_conn_.end())
-    throw UsageError("uses port '" + comp_name + "." + uses_port +
-                     "' is not connected");
-  auto& c = comp(comp_name);
-  const sidl::Interface& iface = c.uses.at(uses_port);
-  auto key = comp_name + "." + uses_port;
-  auto pit = proxies_.find(key);
-  if (pit != proxies_.end()) return pit->second;
-  auto proxy = std::shared_ptr<RemotePort>(
-      new RemotePort(this, it->second, iface, c.cohort));
-  proxies_[key] = proxy;
-  return proxy;
+  return port(comp_name, uses_port,
+              [this](int conn, const sidl::Interface& iface,
+                     const rt::Communicator& cohort) {
+                return std::shared_ptr<RemotePort>(
+                    new RemotePort(this, conn, iface, cohort));
+              });
 }
 
 int DistributedFramework::serve(const std::string& comp_name, int max_calls) {
-  auto& provider = comp(comp_name);
-  if (!member_of(comp_name))
-    throw UsageError("serve: this process is not a member of '" + comp_name +
-                     "'");
+  auto& provider = member(comp_name, "serve");
   int served = 0;
   bool shutdown = false;
   while (!shutdown && (max_calls < 0 || served < max_calls)) {
-    rt::Message msg =
-        world_.recv(rt::kAnySource, listen_tag(provider.index));
+    rt::Message msg = world_.recv(rt::kAnySource, listen_tag(provider));
     served += dispatch(provider, std::move(msg), &shutdown);
   }
   return served;
 }
 
 int DistributedFramework::drain(const std::string& comp_name) {
-  auto& provider = comp(comp_name);
-  if (!member_of(comp_name))
-    throw UsageError("drain: this process is not a member of '" + comp_name +
-                     "'");
-  const int tag = listen_tag(provider.index);
+  auto& provider = member(comp_name, "drain");
+  const int tag = listen_tag(provider);
   int served = 0;
   bool shutdown = false;
   while (!shutdown && world_.probe(rt::kAnySource, tag)) {
@@ -235,12 +85,9 @@ int DistributedFramework::drain(const std::string& comp_name) {
 
 int DistributedFramework::serve_ordered(const std::string& comp_name,
                                         int max_calls) {
-  auto& provider = comp(comp_name);
-  if (!member_of(comp_name))
-    throw UsageError("serve_ordered: this process is not a member of '" +
-                     comp_name + "'");
+  auto& provider = member(comp_name, "serve_ordered");
   rt::Communicator cohort = provider.cohort;
-  const int tag = listen_tag(provider.index);
+  const int tag = listen_tag(provider);
   int served = 0;
 
   // Control block broadcast by the arbiter per decision.
@@ -259,8 +106,7 @@ int DistributedFramework::serve_ordered(const std::string& comp_name,
         rt::UnpackBuffer u(msg.payload);
         const auto kind = static_cast<MsgKind>(u.unpack<std::uint8_t>());
         const int conn_id = u.unpack<int>();
-        auto& conn = conns_.at(conn_id);
-        Servant& servant = *provider.provides.at(conn.prov_port);
+        auto [conn, servant] = route(provider, conn_id);
         switch (kind) {
           case MsgKind::LayoutRequest:
             handle_layout_request(conn, servant, u, msg.src);
@@ -282,7 +128,7 @@ int DistributedFramework::serve_ordered(const std::string& comp_name,
             (void)u.unpack<int>();  // seq
             (void)u.unpack<int>();  // epoch
             (void)u.unpack<int>();  // method
-            const auto participants = u.unpack_vector<int>();
+            const auto participants = unpack_ranks(u);
             rt::PackBuffer b;
             b.pack(static_cast<std::uint8_t>(Ctl::Go));
             b.pack(conn_id);
@@ -322,25 +168,18 @@ int DistributedFramework::serve_ordered(const std::string& comp_name,
     rt::UnpackBuffer u(header.payload);
     (void)u.unpack<std::uint8_t>();  // kind
     (void)u.unpack<int>();           // conn
-    auto& conn = conns_.at(conn_id);
-    Servant& servant = *provider.provides.at(conn.prov_port);
+    auto [conn, servant] = route(provider, conn_id);
     if (handle_invoke(conn, servant, u, /*independent=*/false, header.src))
       ++served;
   }
   return served;
 }
 
-int DistributedFramework::dispatch(ComponentInfo& provider, rt::Message msg,
+int DistributedFramework::dispatch(Component& provider, rt::Message msg,
                                    bool* shutdown) {
   rt::UnpackBuffer u(msg.payload);
   const auto kind = static_cast<MsgKind>(u.unpack<std::uint8_t>());
-  const int conn_id = u.unpack<int>();
-  auto cit = conns_.find(conn_id);
-  if (cit == conns_.end())
-    throw UsageError("message for unknown connection " +
-                     std::to_string(conn_id));
-  ConnectionInfo& conn = cit->second;
-  Servant& servant = *provider.provides.at(conn.prov_port);
+  auto [conn, servant] = route(provider, u.unpack<int>());
 
   switch (kind) {
     case MsgKind::Invoke:
@@ -363,12 +202,11 @@ int DistributedFramework::dispatch(ComponentInfo& provider, rt::Message msg,
   throw UsageError("corrupt PRMI header");
 }
 
-void DistributedFramework::handle_layout_request(ConnectionInfo& conn,
+void DistributedFramework::handle_layout_request(Connection& conn,
                                                  Servant& servant,
                                                  rt::UnpackBuffer& u,
                                                  int src_world) {
-  const int midx = u.unpack<int>();
-  const auto& m = servant.interface_desc().methods.at(midx);
+  const auto& m = servant.interface_desc().method_at(u.unpack<int>());
   rt::PackBuffer reply;
   std::string missing;
   std::vector<const core::FieldRegistration*> targets;  // null => deferred
@@ -401,37 +239,24 @@ void DistributedFramework::handle_layout_request(ConnectionInfo& conn,
   world_.send(src_world, layout_reply_tag(conn.id), std::move(reply).take());
 }
 
-bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
-                                         Servant& servant,
-                                         rt::UnpackBuffer& u,
-                                         bool independent, int src_world) {
-  trace::Span span("prmi.handle", "prmi",
-                   static_cast<std::uint64_t>(conn.id));
-  const int seq = u.unpack<int>();
-  const int epoch = u.unpack<int>();  // caller attempt number, 0 = first
-  const int midx = u.unpack<int>();
-  const auto participants = u.unpack_vector<int>();
-  const auto& iface = servant.interface_desc();
-  const auto& m = iface.methods.at(midx);
-
-  // Duplicate detection (docs/FAULTS.md). Sequence numbers are strictly
-  // increasing per stream; gaps are legal because a caller's counter
-  // advances on every call even when the routing (M != N, independent
-  // targets) sends it no header for some of them. A header at or below the
-  // watermark is a retransmission of a call this rank already executed:
-  // never re-run the handler — resend the cached reply so the retrying
-  // caller can complete (idempotent, at-most-once execution). Collective
-  // calls are tracked per connection because the retransmitted header may
-  // arrive from a different caller rank than the original.
-  int& last =
-      independent ? conn.last_seq[src_world] : conn.last_collective_seq;
+bool DistributedFramework::admit(Connection& conn, bool per_source, int seq,
+                                 int epoch, int src_world) {
+  // Sequence numbers are strictly increasing per stream; gaps are legal
+  // because a caller's counter advances on every call even when the routing
+  // (M != N, independent targets) sends it no header for some of them. A
+  // header at or below the watermark is a retransmission of a call this
+  // rank already executed: never re-run the handler — resend the cached
+  // reply so the retrying caller can complete (idempotent, at-most-once
+  // execution).
+  DedupState& st = conn.state;
+  int& last = per_source ? st.last_seq[src_world] : st.last_collective_seq;
   if (seq <= last) {
     static trace::Counter& dups = trace::counter("prmi.dup_requests");
     dups.add(1);
     trace::instant("prmi.dup_request", "prmi",
                    static_cast<std::uint64_t>(seq));
-    auto it = conn.reply_cache.find(src_world);
-    if (it != conn.reply_cache.end() && it->second.first == seq)
+    auto it = st.reply_cache.find(src_world);
+    if (it != st.reply_cache.end() && it->second.first == seq)
       world_.send(src_world, return_tag(conn.id), it->second.second);
     return false;
   }
@@ -439,6 +264,27 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
   if (epoch > 0)
     trace::instant("prmi.late_first_delivery", "prmi",
                    static_cast<std::uint64_t>(epoch));
+  return true;
+}
+
+void DistributedFramework::send_reply(Connection& conn, int dst, int seq,
+                                      const rt::Buffer& bytes) {
+  conn.state.reply_cache[dst] = {seq, bytes};
+  world_.send(dst, return_tag(conn.id), bytes);
+}
+
+bool DistributedFramework::handle_invoke(Connection& conn, Servant& servant,
+                                         rt::UnpackBuffer& u,
+                                         bool independent, int src_world) {
+  trace::Span span("prmi.handle", "prmi",
+                   static_cast<std::uint64_t>(conn.id));
+  const int seq = u.unpack<int>();
+  const int epoch = u.unpack<int>();  // caller attempt number, 0 = first
+  const auto& m = servant.interface_desc().method_at(u.unpack<int>());
+  const auto participants = unpack_ranks(u);
+  // Collective calls are deduplicated per connection: the retransmitted
+  // header may arrive from a different caller rank than the original.
+  if (!admit(conn, independent, seq, epoch, src_world)) return false;
 
   auto& provider = comp(conn.prov_comp);
   const int j = provider.cohort.rank();
@@ -449,7 +295,7 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
   for (std::size_t i = 0; i < m.params.size(); ++i) {
     const auto& p = m.params[i];
     if (!p.type.parallel && takes_input(p.mode))
-      args[i] = unpack_value(u, p.type);
+      args[i] = sidl::unpack_value<Value>(u, p.type);
   }
   // Caller-side descriptors of the parallel parameters.
   const auto pidx = parallel_params(m);
@@ -521,51 +367,28 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
                          data_in_tag(conn.id, k));
   };
 
-  Value ret;
-  CallStatus status = CallStatus::Ok;
-  std::string error;
-  try {
-    ret = servant.handler(m.name)(ctx, args);
-  } catch (const std::exception& e) {
-    status = CallStatus::Error;
-    error = e.what();
-  }
-
+  rt::PackBuffer reply;
+  reply.pack(static_cast<std::uint8_t>(ReplyKind::Return));
+  const bool ok = sidl::run_handler(reply, m, seq, args, [&] {
+    return servant.handler(m.name)(ctx, args);
+  });
   if (m.oneway) return true;
 
   // Return values: independent calls answer their single caller; collective
   // calls answer the caller ranks mapped to this callee (replicating the
-  // return when M > N — every caller receives a value, §4.2).
-  rt::PackBuffer reply;
-  reply.pack(static_cast<std::uint8_t>(ReplyKind::Return));
-  reply.pack(static_cast<std::uint8_t>(status));
-  reply.pack(seq);
-  if (status == CallStatus::Ok) {
-    if (m.ret.kind != sidl::TypeKind::Void) pack_value(reply, ret, m.ret);
-    for (std::size_t i = 0; i < m.params.size(); ++i) {
-      const auto& p = m.params[i];
-      if (!p.type.parallel && yields_output(p.mode))
-        pack_value(reply, args[i], p.type);
-    }
-  } else {
-    reply.pack(error);
-  }
-  // The cache entry and every destination share one reply block.
+  // return when M > N — every caller receives a value, §4.2). The cache
+  // entries and every destination share one reply block.
   const rt::Buffer reply_bytes = std::move(reply).take_buffer();
-
   if (independent) {
-    conn.reply_cache[src_world] = {seq, reply_bytes};
-    world_.send(src_world, return_tag(conn.id), reply_bytes);
+    send_reply(conn, src_world, seq, reply_bytes);
   } else {
     const int n = static_cast<int>(conn.callee_ranks.size());
-    for (int i = j; i < caller_count; i += n) {
-      conn.reply_cache[participants[i]] = {seq, reply_bytes};
-      world_.send(participants[i], return_tag(conn.id), reply_bytes);
-    }
+    for (int i = j; i < caller_count; i += n)
+      send_reply(conn, participants[i], seq, reply_bytes);
   }
 
   // Parallel outputs flow back, roles reversed.
-  if (status == CallStatus::Ok && !independent) {
+  if (ok && !independent) {
     auto coupling_out =
         make_coupling(world_, conn.callee_ranks, participants);
     for (std::size_t k = 0; k < pidx.size(); ++k) {
@@ -580,7 +403,7 @@ bool DistributedFramework::handle_invoke(ConnectionInfo& conn,
   return true;
 }
 
-int DistributedFramework::handle_invoke_batch(ConnectionInfo& conn,
+int DistributedFramework::handle_invoke_batch(Connection& conn,
                                               Servant& servant,
                                               rt::UnpackBuffer& u,
                                               int src_world) {
@@ -589,31 +412,17 @@ int DistributedFramework::handle_invoke_batch(ConnectionInfo& conn,
   const int epoch = u.unpack<int>();
   const int first_seq = u.unpack<int>();
   const int count = u.unpack<int>();
-  const auto participants = u.unpack_vector<int>();
+  const auto participants = unpack_ranks(u);
 
   // Batch-wide dedup: the batch travelled as ONE wire message, so delivery
   // is all-or-nothing — if its first sub-sequence is at or below the
-  // per-source watermark, this rank already executed the whole batch (the
-  // watermark only advances past first_seq when the batch completes).
+  // per-source watermark, this rank already executed the whole batch.
   // Answer wholesale from the reply cache.
-  int& last = conn.last_seq[src_world];
-  if (first_seq <= last) {
-    static trace::Counter& dups = trace::counter("prmi.dup_requests");
-    dups.add(1);
-    trace::instant("prmi.dup_request", "prmi",
-                   static_cast<std::uint64_t>(first_seq));
-    auto it = conn.reply_cache.find(src_world);
-    if (it != conn.reply_cache.end() && it->second.first == first_seq)
-      world_.send(src_world, return_tag(conn.id), it->second.second);
+  if (!admit(conn, /*per_source=*/true, first_seq, epoch, src_world))
     return 0;
-  }
-  if (epoch > 0)
-    trace::instant("prmi.late_first_delivery", "prmi",
-                   static_cast<std::uint64_t>(epoch));
 
-  auto& provider = comp(conn.prov_comp);
   CalleeContext ctx;
-  ctx.cohort = provider.cohort;
+  ctx.cohort = comp(conn.prov_comp).cohort;
   ctx.caller_count = static_cast<int>(participants.size());
   ctx.collective = false;
 
@@ -624,9 +433,8 @@ int DistributedFramework::handle_invoke_batch(ConnectionInfo& conn,
   int executed = 0;
   for (int i = 0; i < count; ++i) {
     const int seq = u.unpack<int>();
-    const int midx = u.unpack<int>();
+    const auto& m = servant.interface_desc().method_at(u.unpack<int>());
     const auto arg_bytes = u.unpack_vector<std::byte>();
-    const auto& m = servant.interface_desc().methods.at(midx);
     if (!parallel_params(m).empty())
       throw UsageError("batched call to '" + m.name +
                        "' carries parallel parameters");
@@ -634,28 +442,11 @@ int DistributedFramework::handle_invoke_batch(ConnectionInfo& conn,
     std::vector<Value> args(m.params.size());
     for (std::size_t p = 0; p < m.params.size(); ++p)
       if (takes_input(m.params[p].mode))
-        args[p] = unpack_value(au, m.params[p].type);
+        args[p] = sidl::unpack_value<Value>(au, m.params[p].type);
     ctx.seq = seq;
-    Value ret;
-    CallStatus status = CallStatus::Ok;
-    std::string error;
-    try {
-      ret = servant.handler(m.name)(ctx, args);
-    } catch (const std::exception& e) {
-      status = CallStatus::Error;
-      error = e.what();
-    }
-    reply.pack(static_cast<std::uint8_t>(status));
-    reply.pack(seq);
-    if (status == CallStatus::Ok) {
-      if (m.ret.kind != sidl::TypeKind::Void) pack_value(reply, ret, m.ret);
-      for (std::size_t p = 0; p < m.params.size(); ++p)
-        if (yields_output(m.params[p].mode))
-          pack_value(reply, args[p], m.params[p].type);
-    } else {
-      reply.pack(error);
-    }
-    last = seq;
+    sidl::run_handler(reply, m, seq, args,
+                      [&] { return servant.handler(m.name)(ctx, args); });
+    conn.state.last_seq[src_world] = seq;
     ++executed;
   }
 
@@ -666,9 +457,7 @@ int DistributedFramework::handle_invoke_batch(ConnectionInfo& conn,
 
   // One reply block: the cache entry and the send share it, and a
   // retransmitted batch resends it without re-execution.
-  const rt::Buffer reply_bytes = std::move(reply).take_buffer();
-  conn.reply_cache[src_world] = {first_seq, reply_bytes};
-  world_.send(src_world, return_tag(conn.id), reply_bytes);
+  send_reply(conn, src_world, first_seq, std::move(reply).take_buffer());
   return executed;
 }
 
@@ -744,6 +533,39 @@ const std::vector<std::optional<dad::DescriptorPtr>>& RemotePort::layouts(
   return layout_cache_[method_idx] = std::move(descs);
 }
 
+template <class Resend, class Classify>
+rt::Message RemotePort::await_reply(int src, int seq, bool replayable,
+                                    Resend&& resend, Classify&& classify) {
+  static trace::Counter& retries = trace::counter("prmi.retries");
+  static trace::Counter& stale = trace::counter("prmi.stale_replies");
+  const bool can_retry = replayable && retry_ && retry_->max_retries > 0;
+  const int wait_ms = retry_ ? retry_->timeout_ms : -1;
+  for (int attempt = 0;;) {
+    rt::Message msg;
+    try {
+      msg = fw_->world_.recv(src, return_tag(conn_), wait_ms);
+    } catch (const rt::TimeoutError&) {
+      if (!can_retry || attempt >= retry_->max_retries) throw;
+      ++attempt;
+      retries.add(1);
+      trace::instant("prmi.retry", "prmi", static_cast<std::uint64_t>(seq));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(retry_->backoff_ms * attempt));
+      resend(attempt);
+      continue;
+    }
+    rt::UnpackBuffer peek(msg.payload);
+    switch (classify(peek)) {
+      case Reply::Mine: return msg;
+      case Reply::Stale:
+        stale.add(1);
+        trace::instant("prmi.stale_reply", "prmi");
+        break;
+      case Reply::Served: break;
+    }
+  }
+}
+
 RemotePort::Result RemotePort::invoke(MsgKind kind,
                                       const std::string& method_name,
                                       std::vector<Value> args,
@@ -761,17 +583,7 @@ RemotePort::Result RemotePort::invoke(MsgKind kind,
   const int my = cohort_.rank();  // participant index
   const bool independent = kind == MsgKind::InvokeIndependent;
 
-  if (args.size() != m.params.size())
-    throw UsageError("method '" + method_name + "' takes " +
-                     std::to_string(m.params.size()) + " arguments, got " +
-                     std::to_string(args.size()));
-  for (std::size_t i = 0; i < m.params.size(); ++i) {
-    const auto& p = m.params[i];
-    if (!p.type.parallel && p.mode == Mode::Out) continue;  // slot
-    if (!conforms(args[i], p.type))
-      throw TypeMismatch("argument '" + p.name + "' of '" + method_name +
-                         "' does not match " + p.type.to_string());
-  }
+  sidl::check_args(m, args, conforms);
 
   // Optional enforcement of the simple-argument convention (§2.4).
   if (check_simple_ && !independent) {
@@ -832,7 +644,7 @@ RemotePort::Result RemotePort::invoke(MsgKind kind,
     for (std::size_t i = 0; i < m.params.size(); ++i) {
       const auto& p = m.params[i];
       if (!p.type.parallel && takes_input(p.mode))
-        pack_value(b, args[i], p.type);
+        sidl::pack_value(b, args[i], p.type);
     }
     for (int p : pidx)
       std::get<ParallelRef>(args[p]).binding->descriptor->pack(b);
@@ -889,88 +701,48 @@ RemotePort::Result RemotePort::invoke(MsgKind kind,
 
   if (oneway_call) return {};
 
-  // Retry eligibility (docs/FAULTS.md): parallel/deferred parameters carry
-  // data streams that cannot be replayed, so those methods get the deadline
-  // (typed TimeoutError) but no resend.
-  const bool can_retry =
-      retry_ && retry_->max_retries > 0 && pidx.empty() && !any_deferred;
-  const int wait_ms = retry_ ? retry_->timeout_ms : -1;
-  int attempt = 0;
-
   // Park on the reply stream: serve any mid-call pull requests for
   // deferred parameters, discard stale replies (a retried predecessor's
-  // duplicate), retry on deadline expiry, then take the return.
+  // duplicate), retry on deadline expiry, then take the return. Parallel
+  // and deferred parameters carry data streams that cannot be replayed, so
+  // those methods get the deadline (typed TimeoutError) but no resend.
   rt::Message msg;
   {
     trace::Span wait_ret("prmi.wait_return", "prmi");
-    while (true) {
-      try {
-        msg = fw_->world_.recv(rt::kAnySource, return_tag(conn_), wait_ms);
-      } catch (const rt::TimeoutError&) {
-        if (!can_retry || attempt >= retry_->max_retries) throw;
-        ++attempt;
-        static trace::Counter& retries = trace::counter("prmi.retries");
-        retries.add(1);
-        trace::instant("prmi.retry", "prmi",
-                       static_cast<std::uint64_t>(seq));
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(retry_->backoff_ms * attempt));
-        send_headers(attempt);
-        continue;
-      }
-      rt::UnpackBuffer peek(msg.payload);
-      const auto rkind = static_cast<ReplyKind>(peek.unpack<std::uint8_t>());
-      if (rkind == ReplyKind::Batch) {
-        // A duplicated batch reply from an earlier flush (retry fallout);
-        // the flush that owned it already completed, so it is always stale
-        // by the time a plain call is in flight.
-        static trace::Counter& stale = trace::counter("prmi.stale_replies");
-        stale.add(1);
-        trace::instant("prmi.stale_reply", "prmi");
-        continue;
-      }
-      if (rkind == ReplyKind::Return) {
-        (void)peek.unpack<std::uint8_t>();  // status
-        const int rseq = peek.unpack<int>();
-        if (rseq < seq) {  // stale duplicate of an earlier call's reply
-          static trace::Counter& stale = trace::counter("prmi.stale_replies");
-          stale.add(1);
-          trace::instant("prmi.stale_reply", "prmi",
-                         static_cast<std::uint64_t>(rseq));
-          continue;
-        }
-        break;
-      }
-      // Pull request: {param index within the parallel list, dst descriptor}.
-      const int k = peek.unpack<int>();
-      auto dst_desc = std::make_shared<const dad::Descriptor>(
-          dad::Descriptor::unpack(peek));
-      const auto* binding = std::get<ParallelRef>(args[pidx.at(k)]).binding;
-      auto coupling =
-          make_coupling(fw_->world_, participants_world_, conn.callee_ranks);
-      const auto s =
-          fw_->cache_.get_shared(binding->descriptor, dst_desc, my, -1);
-      core::execute_erased(*s, binding, nullptr, coupling,
-                           data_in_tag(conn_, k));
-    }
+    msg = await_reply(
+        rt::kAnySource, seq, pidx.empty() && !any_deferred, send_headers,
+        [&](rt::UnpackBuffer& peek) {
+          switch (static_cast<ReplyKind>(peek.unpack<std::uint8_t>())) {
+            case ReplyKind::Batch:
+              // A duplicated batch reply from an earlier flush (retry
+              // fallout); that flush already completed.
+              return Reply::Stale;
+            case ReplyKind::Return:
+              (void)peek.unpack<std::uint8_t>();  // status
+              return peek.unpack<int>() < seq ? Reply::Stale : Reply::Mine;
+            case ReplyKind::Pull: break;
+            default: throw UsageError("corrupt PRMI reply");
+          }
+          // Pull request: {index within the parallel list, dst descriptor}.
+          const int k = peek.unpack<int>();
+          if (k < 0 || k >= static_cast<int>(pidx.size()))
+            throw UsageError("pull request for a non-parallel parameter");
+          auto dst_desc = std::make_shared<const dad::Descriptor>(
+              dad::Descriptor::unpack(peek));
+          const auto* binding = std::get<ParallelRef>(args[pidx[k]]).binding;
+          auto coupling = make_coupling(fw_->world_, participants_world_,
+                                        conn.callee_ranks);
+          const auto s =
+              fw_->cache_.get_shared(binding->descriptor, dst_desc, my, -1);
+          core::execute_erased(*s, binding, nullptr, coupling,
+                               data_in_tag(conn_, k));
+          return Reply::Served;
+        });
   }
   rt::UnpackBuffer u(msg.payload);
   (void)u.unpack<std::uint8_t>();  // ReplyKind::Return
-  const auto status = static_cast<CallStatus>(u.unpack<std::uint8_t>());
-  const int rseq = u.unpack<int>();
-  if (rseq != seq)
-    throw UsageError("return sequence mismatch on connection " +
-                     std::to_string(conn_));
-  if (status == CallStatus::Error) throw RemoteError(u.unpack_string());
-
   Result result;
-  if (m.ret.kind != sidl::TypeKind::Void)
-    result.ret = unpack_value(u, m.ret);
-  for (std::size_t i = 0; i < m.params.size(); ++i) {
-    const auto& p = m.params[i];
-    if (!p.type.parallel && yields_output(p.mode))
-      args[i] = unpack_value(u, p.type);
-  }
+  sidl::unpack_reply(u, m, seq, result.ret, args);
 
   // Parallel outputs.
   if (!pidx.empty() && !independent) {
@@ -1041,17 +813,7 @@ int RemotePort::queue_independent(const std::string& method,
     throw UsageError("method '" + method +
                      "' has parallel parameters; its data streams cannot "
                      "be coalesced");
-  if (args.size() != m.params.size())
-    throw UsageError("method '" + method + "' takes " +
-                     std::to_string(m.params.size()) + " arguments, got " +
-                     std::to_string(args.size()));
-  for (std::size_t i = 0; i < m.params.size(); ++i) {
-    const auto& p = m.params[i];
-    if (p.mode == Mode::Out) continue;  // slot
-    if (!conforms(args[i], p.type))
-      throw TypeMismatch("argument '" + p.name + "' of '" + method +
-                         "' does not match " + p.type.to_string());
-  }
+  sidl::check_args(m, args, conforms);
   const int callee_count = static_cast<int>(conn.callee_ranks.size());
   if (target < 0) target = cohort_.rank() % callee_count;
   if (target >= callee_count)
@@ -1064,7 +826,8 @@ int RemotePort::queue_independent(const std::string& method,
   pc.target = target;
   rt::PackBuffer b;
   for (std::size_t i = 0; i < m.params.size(); ++i)
-    if (takes_input(m.params[i].mode)) pack_value(b, args[i], m.params[i].type);
+    if (takes_input(m.params[i].mode))
+      sidl::pack_value(b, args[i], m.params[i].type);
   pc.args = std::move(b).take();
   pending_.push_back(std::move(pc));
   return static_cast<int>(pending_.size()) - 1;
@@ -1085,8 +848,7 @@ std::vector<RemotePort::Result> RemotePort::flush_batch() {
 
   // One wire message per target. Rebuilt per attempt (the epoch field
   // distinguishes retransmissions, as for plain calls).
-  auto make_batch = [&](int target, const std::vector<std::size_t>& idxs,
-                        int epoch) {
+  auto make_batch = [&](const std::vector<std::size_t>& idxs, int epoch) {
     rt::PackBuffer b;
     b.pack(static_cast<std::uint8_t>(MsgKind::InvokeBatch));
     b.pack(conn_);
@@ -1099,83 +861,54 @@ std::vector<RemotePort::Result> RemotePort::flush_batch() {
       b.pack(pending_[i].midx);
       b.pack(pending_[i].args);
     }
-    (void)target;
     return std::move(b).take_buffer();
   };
   for (const auto& [target, idxs] : by_target) {
     fw_->world_.send(conn.callee_ranks[target], conn.listen,
-                     make_batch(target, idxs, /*epoch=*/0));
+                     make_batch(idxs, /*epoch=*/0));
     batches.add(1);
     batched.add(idxs.size());
   }
 
   // Collect one batch reply per target. Receives are per-source, so
   // replies from different targets cannot be confused; per-(src, tag) FIFO
-  // keeps each target's stream ordered.
-  const bool can_retry = retry_ && retry_->max_retries > 0;
-  const int wait_ms = retry_ ? retry_->timeout_ms : -1;
+  // keeps each target's stream ordered. Whatever goes wrong, the batch is
+  // poisoned: drop it rather than wedge the proxy.
   std::vector<Result> results(pending_.size());
-  for (const auto& [target, idxs] : by_target) {
-    const int src_world = conn.callee_ranks[target];
-    const int first_seq = pending_[idxs.front()].seq;
-    int attempt = 0;
-    rt::Message msg;
-    while (true) {
-      try {
-        msg = fw_->world_.recv(src_world, return_tag(conn_), wait_ms);
-      } catch (const rt::TimeoutError&) {
-        if (!can_retry || attempt >= retry_->max_retries) {
-          pending_.clear();  // the batch is poisoned; don't wedge the proxy
-          throw;
-        }
-        ++attempt;
-        static trace::Counter& retries = trace::counter("prmi.retries");
-        retries.add(1);
-        trace::instant("prmi.retry", "prmi",
-                       static_cast<std::uint64_t>(first_seq));
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(retry_->backoff_ms * attempt));
-        fw_->world_.send(src_world, conn.listen,
-                         make_batch(target, idxs, attempt));
-        continue;
-      }
-      rt::UnpackBuffer peek(msg.payload);
-      const auto rkind = static_cast<ReplyKind>(peek.unpack<std::uint8_t>());
-      if (rkind == ReplyKind::Batch && peek.unpack<int>() == first_seq) break;
-      // Anything else on this stream predates the batch: a duplicated
-      // reply to an earlier (plain or batched) call. Discard.
-      static trace::Counter& stale = trace::counter("prmi.stale_replies");
-      stale.add(1);
-      trace::instant("prmi.stale_reply", "prmi");
-    }
-
-    rt::UnpackBuffer u(msg.payload);
-    (void)u.unpack<std::uint8_t>();  // ReplyKind::Batch
-    (void)u.unpack<int>();           // first_seq
-    const int count = u.unpack<int>();
-    if (count != static_cast<int>(idxs.size()))
-      throw UsageError("batch reply count mismatch on connection " +
-                       std::to_string(conn_));
-    for (std::size_t i : idxs) {
-      const auto& m = iface_.methods[pending_[i].midx];
-      const auto status = static_cast<CallStatus>(u.unpack<std::uint8_t>());
-      const int rseq = u.unpack<int>();
-      if (rseq != pending_[i].seq)
-        throw UsageError("batch reply sequence mismatch on connection " +
+  try {
+    for (const auto& [target, idxs] : by_target) {
+      const int src_world = conn.callee_ranks[target];
+      const int first_seq = pending_[idxs.front()].seq;
+      const rt::Message msg = await_reply(
+          src_world, first_seq, /*replayable=*/true,
+          [&](int attempt) {
+            fw_->world_.send(src_world, conn.listen, make_batch(idxs, attempt));
+          },
+          [&](rt::UnpackBuffer& peek) {
+            // Anything else on this stream predates the batch: a duplicated
+            // reply to an earlier (plain or batched) call.
+            const bool mine =
+                static_cast<ReplyKind>(peek.unpack<std::uint8_t>()) ==
+                    ReplyKind::Batch &&
+                peek.unpack<int>() == first_seq;
+            return mine ? Reply::Mine : Reply::Stale;
+          });
+      rt::UnpackBuffer u(msg.payload);
+      (void)u.unpack<std::uint8_t>();  // ReplyKind::Batch
+      (void)u.unpack<int>();           // first_seq
+      if (u.unpack<int>() != static_cast<int>(idxs.size()))
+        throw UsageError("batch reply count mismatch on connection " +
                          std::to_string(conn_));
-      if (status == CallStatus::Error) {
-        const std::string error = u.unpack_string();
-        pending_.clear();
-        throw RemoteError(error);
+      for (std::size_t i : idxs) {
+        const auto& m = iface_.methods[pending_[i].midx];
+        results[i].args.resize(m.params.size());
+        sidl::unpack_reply(u, m, pending_[i].seq, results[i].ret,
+                           results[i].args);
       }
-      Result r;
-      if (m.ret.kind != sidl::TypeKind::Void) r.ret = unpack_value(u, m.ret);
-      r.args.resize(m.params.size());
-      for (std::size_t p = 0; p < m.params.size(); ++p)
-        if (yields_output(m.params[p].mode))
-          r.args[p] = unpack_value(u, m.params[p].type);
-      results[i] = std::move(r);
     }
+  } catch (...) {
+    pending_.clear();
+    throw;
   }
   pending_.clear();
   return results;

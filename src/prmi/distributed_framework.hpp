@@ -11,6 +11,7 @@
 #include "prmi/value.hpp"
 #include "rt/communicator.hpp"
 #include "sched/cache.hpp"
+#include "sidl/registry.hpp"
 
 namespace mxn::prmi {
 
@@ -31,44 +32,32 @@ struct RetryPolicy {
   int backoff_ms = 5;  // sleep backoff_ms * attempt before resending
 };
 
+/// Provider-side duplicate detection state of one connection
+/// (docs/FAULTS.md): independent invocations are tracked per source,
+/// collective ones per connection (every caller of a collective call
+/// carries the same seq, so a retransmitted header may arrive from a
+/// DIFFERENT rank than the original). A header with seq <= the watermark is
+/// a retransmission: it is never re-executed; the cached reply is resent
+/// instead.
+struct DedupState {
+  std::map<int, int> last_seq;
+  int last_collective_seq = 0;
+  // Last reply sent to each caller world rank: {seq, reply payload}. The
+  // cached Buffer shares the block that was sent — a resend is another
+  // refcount bump, not a copy.
+  std::map<int, std::pair<int, rt::Buffer>> reply_cache;
+};
+
 /// A distributed CCA framework (paper §2.1, Figure 2 right): components run
 /// in disjoint sets of processes, port invocations become parallel remote
 /// method invocations with full argument marshalling, and all
-/// inter-component communication is M×N.
-///
-/// Operations marked "collective over the world" must be executed by every
-/// process of the world communicator in the same order (they establish
-/// globally consistent metadata: component membership, connection ids, tag
-/// assignments). Provider-/user-side operations run only on the respective
-/// cohort's processes.
-class DistributedFramework {
+/// inter-component communication is M×N. Components, ports and connections
+/// live in the shared registry (sidl/registry.hpp).
+class DistributedFramework
+    : public sidl::Registry<Servant, RemotePort, DedupState> {
  public:
-  explicit DistributedFramework(rt::Communicator world);
-
-  /// Collective over the world: declare a parallel component living on
-  /// `world_ranks` (cohort rank i == world_ranks[i]).
-  void instantiate(const std::string& name, std::vector<int> world_ranks);
-
-  [[nodiscard]] bool member_of(const std::string& name) const;
-
-  /// Cohort communicator of a component (null handle on non-members).
-  [[nodiscard]] rt::Communicator cohort(const std::string& name) const;
-
-  /// Provider side (cohort members only): attach a servant to a provides
-  /// port. Must precede connect().
-  void add_provides(const std::string& comp, const std::string& port,
-                    std::shared_ptr<Servant> servant);
-
-  /// User side (cohort members only): declare a uses port typed by a SIDL
-  /// interface (both sides are compiled from the same SIDL, so the user
-  /// carries its own copy of the descriptor). Must precede connect().
-  void register_uses(const std::string& comp, const std::string& port,
-                     sidl::Interface iface);
-
-  /// Collective over the world: connect a uses port to a provides port.
-  /// Validates that both ends implement the same qualified interface.
-  void connect(const std::string& user_comp, const std::string& uses_port,
-               const std::string& prov_comp, const std::string& prov_port);
+  explicit DistributedFramework(rt::Communicator world)
+      : Registry(std::move(world), kTagBase) {}
 
   /// User side: proxy for a connected uses port.
   [[nodiscard]] std::shared_ptr<RemotePort> get_port(
@@ -102,73 +91,42 @@ class DistributedFramework {
   /// epochs of a rescale, where a blocked provider would stall the fence).
   int drain(const std::string& comp);
 
-  [[nodiscard]] rt::Communicator world() const { return world_; }
-
  private:
   friend class RemotePort;
-
-  struct ComponentInfo {
-    int index = 0;
-    std::vector<int> ranks;       // world ranks; cohort rank == index
-    rt::Communicator cohort;      // null on non-members
-    std::map<std::string, std::shared_ptr<Servant>> provides;
-    std::map<std::string, sidl::Interface> uses;
-  };
-
-  struct ConnectionInfo {
-    int id = 0;
-    std::string user_comp, uses_port, prov_comp, prov_port;
-    std::vector<int> caller_ranks, callee_ranks;  // world ranks
-    int listen = 0;  // provider component's listen tag
-    // Provider-side duplicate detection (docs/FAULTS.md): independent
-    // invocations are tracked per source, collective ones per connection
-    // (every caller of a collective call carries the same seq, so a
-    // retransmitted header may arrive from a DIFFERENT rank than the
-    // original). A header with seq <= the watermark is a retransmission:
-    // it is never re-executed; the cached reply is resent instead.
-    std::map<int, int> last_seq;
-    int last_collective_seq = 0;
-    // Last reply sent to each caller world rank: {seq, reply payload}. The
-    // cached Buffer shares the block that was sent — a resend is another
-    // refcount bump, not a copy.
-    std::map<int, std::pair<int, rt::Buffer>> reply_cache;
-  };
-
-  ComponentInfo& comp(const std::string& name);
-  const ComponentInfo& comp(const std::string& name) const;
 
   /// Provider-side processing of one listen-tag message; returns how many
   /// fresh invocations it carried (a batch header carries several), 0 for
   /// control traffic and deduplicated retransmissions. Sets *shutdown when
   /// a Shutdown notice was handled.
-  int dispatch(ComponentInfo& provider, rt::Message msg, bool* shutdown);
+  int dispatch(Component& provider, rt::Message msg, bool* shutdown);
+
+  /// The one dedup-and-replay gate: true when `seq` is fresh (the
+  /// watermark advances to it); otherwise the header is a retransmission —
+  /// counted, answered with the cached reply if it is `seq`'s, and false.
+  /// `per_source` picks the caller's own watermark over the connection's
+  /// collective one.
+  bool admit(Connection& conn, bool per_source, int seq, int epoch,
+             int src_world);
+  /// Send a reply block to `dst` and cache it for replay under `seq`.
+  void send_reply(Connection& conn, int dst, int seq,
+                  const rt::Buffer& bytes);
 
   /// Returns true when a fresh invocation was executed, false when the
   /// header was a retransmission (deduplicated; cached reply resent).
-  bool handle_invoke(ConnectionInfo& conn, Servant& servant,
-                     rt::UnpackBuffer& u, bool independent, int src_world);
+  bool handle_invoke(Connection& conn, Servant& servant, rt::UnpackBuffer& u,
+                     bool independent, int src_world);
   /// Coalesced independent sub-calls from one caller rank: executes each in
   /// order, answers with a single batch reply, and advances the per-source
   /// watermark to the last sub-sequence — so a retransmitted batch (its
   /// first sub-seq at or below the watermark) is answered wholesale from
   /// the reply cache without re-executing anything. Returns the number of
   /// sub-calls executed (0 for a retransmission).
-  int handle_invoke_batch(ConnectionInfo& conn, Servant& servant,
+  int handle_invoke_batch(Connection& conn, Servant& servant,
                           rt::UnpackBuffer& u, int src_world);
-  void handle_layout_request(ConnectionInfo& conn, Servant& servant,
+  void handle_layout_request(Connection& conn, Servant& servant,
                              rt::UnpackBuffer& u, int src_world);
 
-  rt::Communicator world_;
-  std::map<std::string, ComponentInfo> comps_;
-  std::map<int, ConnectionInfo> conns_;
-  // user "comp.port" -> connection id
-  std::map<std::string, int> uses_conn_;
-  // user "comp.port" -> proxy (one per uses port: the invocation sequence
-  // counter must be unique per connection)
-  std::map<std::string, std::shared_ptr<RemotePort>> proxies_;
   sched::ScheduleCache cache_;
-  int next_comp_index_ = 0;
-  int next_conn_id_ = 0;
 };
 
 /// Caller-side proxy for a connected uses port. All methods validate the
@@ -262,6 +220,19 @@ class RemotePort {
 
   Result invoke(MsgKind kind, const std::string& method,
                 std::vector<Value> args, bool oneway_call, int target);
+
+  /// What a reply-stream filter made of one message.
+  enum class Reply { Mine, Stale, Served };
+
+  /// The one reply wait (docs/FAULTS.md): receive on this connection's
+  /// return tag from `src` until `classify(peek)` says Mine, dropping Stale
+  /// messages (duplicates of earlier replies, counted) and moving on past
+  /// Served ones (mid-call pull requests). When a deadline expires and the
+  /// call is `replayable` under the retry policy, `resend(attempt)` is
+  /// called after a linear backoff; otherwise the TimeoutError propagates.
+  template <class Resend, class Classify>
+  rt::Message await_reply(int src, int seq, bool replayable, Resend&& resend,
+                          Classify&& classify);
 
   /// Fetch (and cache) the callee-side layouts of a method's parallel
   /// parameters — one round trip by cohort rank 0, broadcast to the cohort.

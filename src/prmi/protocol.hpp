@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "sidl/marshal.hpp"
+
 namespace mxn::prmi {
 
 /// Wire-protocol constants. The PRMI layer reserves the tag range
@@ -44,7 +46,7 @@ enum class MsgKind : std::uint8_t {
   InvokeBatch,       // coalesced independent invocations, one per sub-header
 };
 
-/// Return statuses.
-enum class CallStatus : std::uint8_t { Ok, Error };
+/// Return statuses (shared with every SIDL reply record).
+using sidl::CallStatus;
 
 }  // namespace mxn::prmi

@@ -18,105 +18,15 @@ std::size_t elem_width(TypeKind k) {
 }
 
 bool conforms(const Value& v, const TypeRef& t) {
-  if (t.parallel) {
-    const auto* p = std::get_if<ParallelRef>(&v);
-    return p && p->binding &&
-           p->binding->elem_size == elem_width(t.elem) &&
-           p->binding->descriptor->ndim() == t.array_ndim;
-  }
-  switch (t.kind) {
-    case TypeKind::Void:
-      return std::holds_alternative<std::monostate>(v);
-    case TypeKind::Bool:
-      return std::holds_alternative<bool>(v);
-    case TypeKind::Int:
-      return std::holds_alternative<std::int32_t>(v);
-    case TypeKind::Long:
-      return std::holds_alternative<std::int64_t>(v);
-    case TypeKind::Float:
-      return std::holds_alternative<float>(v);
-    case TypeKind::Double:
-      return std::holds_alternative<double>(v);
-    case TypeKind::String:
-      return std::holds_alternative<std::string>(v);
-    case TypeKind::Array:
-      switch (t.elem) {
-        case TypeKind::Int:
-          return std::holds_alternative<std::vector<std::int32_t>>(v);
-        case TypeKind::Long:
-          return std::holds_alternative<std::vector<std::int64_t>>(v);
-        case TypeKind::Float:
-          return std::holds_alternative<std::vector<float>>(v);
-        case TypeKind::Double:
-          return std::holds_alternative<std::vector<double>>(v);
-        default:
-          return false;
-      }
-  }
-  return false;
-}
-
-void pack_value(rt::PackBuffer& b, const Value& v, const TypeRef& t) {
-  if (t.parallel)
-    throw TypeMismatch("parallel arguments are redistributed, not packed");
-  if (!conforms(v, t))
-    throw TypeMismatch("argument value does not match SIDL type " +
-                       t.to_string());
-  switch (t.kind) {
-    case TypeKind::Void: break;
-    case TypeKind::Bool: b.pack(std::get<bool>(v)); break;
-    case TypeKind::Int: b.pack(std::get<std::int32_t>(v)); break;
-    case TypeKind::Long: b.pack(std::get<std::int64_t>(v)); break;
-    case TypeKind::Float: b.pack(std::get<float>(v)); break;
-    case TypeKind::Double: b.pack(std::get<double>(v)); break;
-    case TypeKind::String: b.pack(std::get<std::string>(v)); break;
-    case TypeKind::Array:
-      switch (t.elem) {
-        case TypeKind::Int:
-          b.pack(std::get<std::vector<std::int32_t>>(v));
-          break;
-        case TypeKind::Long:
-          b.pack(std::get<std::vector<std::int64_t>>(v));
-          break;
-        case TypeKind::Float:
-          b.pack(std::get<std::vector<float>>(v));
-          break;
-        case TypeKind::Double:
-          b.pack(std::get<std::vector<double>>(v));
-          break;
-        default:
-          throw TypeMismatch("unsupported array element");
-      }
-      break;
-  }
-}
-
-Value unpack_value(rt::UnpackBuffer& u, const TypeRef& t) {
-  if (t.parallel)
-    throw TypeMismatch("parallel arguments are redistributed, not packed");
-  switch (t.kind) {
-    case TypeKind::Void: return std::monostate{};
-    case TypeKind::Bool: return u.unpack<bool>();
-    case TypeKind::Int: return u.unpack<std::int32_t>();
-    case TypeKind::Long: return u.unpack<std::int64_t>();
-    case TypeKind::Float: return u.unpack<float>();
-    case TypeKind::Double: return u.unpack<double>();
-    case TypeKind::String: return u.unpack_string();
-    case TypeKind::Array:
-      switch (t.elem) {
-        case TypeKind::Int: return u.unpack_vector<std::int32_t>();
-        case TypeKind::Long: return u.unpack_vector<std::int64_t>();
-        case TypeKind::Float: return u.unpack_vector<float>();
-        case TypeKind::Double: return u.unpack_vector<double>();
-        default: throw TypeMismatch("unsupported array element");
-      }
-  }
-  throw TypeMismatch("corrupt value payload");
+  if (!t.parallel) return sidl::conforms(v, t);
+  const auto* p = std::get_if<ParallelRef>(&v);
+  return p && p->binding && p->binding->elem_size == elem_width(t.elem) &&
+         p->binding->descriptor->ndim() == t.array_ndim;
 }
 
 std::uint64_t value_hash(const Value& v, const TypeRef& t) {
   rt::PackBuffer b;
-  pack_value(b, v, t);
+  sidl::pack_value(b, v, t);
   // FNV-1a over the canonical encoding.
   std::uint64_t h = 1469598103934665603ull;
   for (std::byte byte : b.bytes()) {

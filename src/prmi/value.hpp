@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "core/field.hpp"
-#include "rt/serialize.hpp"
-#include "sidl/types.hpp"
+#include "sidl/marshal.hpp"
 
 namespace mxn::prmi {
 
@@ -31,27 +30,13 @@ using Value = std::variant<std::monostate, bool, std::int32_t, std::int64_t,
                            std::vector<std::int64_t>, std::vector<float>,
                            std::vector<double>, ParallelRef>;
 
-/// Raised when an argument's runtime type does not match the SIDL signature.
-class TypeMismatch : public rt::UsageError {
- public:
-  using rt::UsageError::UsageError;
-};
-
-/// Raised on the caller when the remote handler failed.
-class RemoteError : public rt::Error {
- public:
-  using rt::Error::Error;
-};
+using sidl::RemoteError;
+using sidl::TypeMismatch;
 
 /// Does `v` hold a value of SIDL type `t`? (ParallelRef matches any
-/// parallel array type whose element width equals the binding's.)
+/// parallel array type whose element width equals the binding's; simple
+/// types are checked by the shared marshaller, sidl/marshal.hpp.)
 [[nodiscard]] bool conforms(const Value& v, const sidl::TypeRef& t);
-
-/// Marshal `v` as SIDL type `t` (which must be a non-parallel type).
-void pack_value(rt::PackBuffer& b, const Value& v, const sidl::TypeRef& t);
-
-/// Inverse of pack_value.
-[[nodiscard]] Value unpack_value(rt::UnpackBuffer& u, const sidl::TypeRef& t);
 
 /// A short content hash used by the optional same-value-on-every-rank check
 /// for simple arguments.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -110,7 +111,9 @@ class UnpackBuffer {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> unpack_vector() {
     const auto n = unpack<std::uint64_t>();
-    need(n * sizeof(T));
+    // Compare the count, not n * sizeof(T), so a hostile count cannot wrap.
+    if (n > remaining() / sizeof(T))
+      throw UsageError("UnpackBuffer: truncated payload");
     std::vector<T> values(n);
     if (n) std::memcpy(values.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -121,7 +124,9 @@ class UnpackBuffer {
   std::vector<std::string> unpack_string_vector() {
     const auto n = unpack<std::uint64_t>();
     std::vector<std::string> values;
-    values.reserve(n);
+    // Every string carries at least its 8-byte length prefix.
+    values.reserve(
+        std::min<std::uint64_t>(n, remaining() / sizeof(std::uint64_t)));
     for (std::uint64_t i = 0; i < n; ++i) values.push_back(unpack_string());
     return values;
   }
@@ -138,8 +143,8 @@ class UnpackBuffer {
   [[nodiscard]] bool empty() const { return remaining() == 0; }
 
  private:
-  void need(std::size_t n) const {
-    if (pos_ + n > data_.size())
+  void need(std::uint64_t n) const {
+    if (n > remaining())
       throw UsageError("UnpackBuffer: truncated payload");
   }
 

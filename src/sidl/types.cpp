@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "rt/error.hpp"
+
 namespace mxn::sidl {
 
 std::string to_string(TypeKind k) {
@@ -55,6 +57,13 @@ int Interface::method_index(const std::string& name) const {
     if (methods[i].name == name) return static_cast<int>(i);
   throw std::out_of_range("interface " + qualified + " has no method '" +
                           name + "'");
+}
+
+const Method& Interface::method_at(int index) const {
+  if (index < 0 || index >= static_cast<int>(methods.size()))
+    throw rt::UsageError("interface " + qualified + " has no method #" +
+                         std::to_string(index));
+  return methods[static_cast<std::size_t>(index)];
 }
 
 const Interface& Package::interface(const std::string& name) const {

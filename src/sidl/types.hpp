@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,8 @@ struct Interface {
 
   [[nodiscard]] const Method& method(const std::string& name) const;
   [[nodiscard]] int method_index(const std::string& name) const;
+  /// Method by wire index; rt::UsageError when out of range.
+  [[nodiscard]] const Method& method_at(int index) const;
 };
 
 struct Package {

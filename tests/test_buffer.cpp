@@ -11,11 +11,13 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "rt/buffer.hpp"
 #include "rt/runtime.hpp"
+#include "rt/serialize.hpp"
 #include "sched/executor.hpp"
 #include "trace/trace.hpp"
 
@@ -137,6 +139,41 @@ TEST(Buffer, ToVectorIsACountedDeepCopy) {
   EXPECT_EQ(copied(), before + 128);
   EXPECT_EQ(v.size(), 128u);
   EXPECT_NE(reinterpret_cast<const std::byte*>(v.data()), b.data());
+}
+
+// Length prefixes come off the wire: a hostile count must surface as the
+// typed UsageError before anything is sized, allocated or reserved from it.
+TEST(UnpackBuffer, HostileLengthPrefixesAreTypedErrors) {
+  auto payload = [](std::uint64_t n) {
+    rt::PackBuffer b;
+    b.pack(n);
+    b.pack(std::uint64_t{0});  // 8 bytes of "content"
+    return std::move(b).take();
+  };
+  const auto huge_string = payload(~std::uint64_t{0});
+  rt::UnpackBuffer s(huge_string);
+  EXPECT_THROW((void)s.unpack_string(), rt::UsageError);
+
+  // n * sizeof(double) wraps to 0 for n = 2^61.
+  const auto wrapping_vector = payload(std::uint64_t{1} << 61);
+  rt::UnpackBuffer v(wrapping_vector);
+  EXPECT_THROW((void)v.unpack_vector<double>(), rt::UsageError);
+
+  const auto huge_list = payload(std::uint64_t{1} << 40);
+  rt::UnpackBuffer l(huge_list);
+  EXPECT_THROW((void)l.unpack_string_vector(), rt::UsageError);
+
+  const auto short_string = payload(9);
+  rt::UnpackBuffer t(short_string);
+  EXPECT_THROW((void)t.unpack_string(), rt::UsageError);
+
+  // An honest prefix still decodes.
+  rt::PackBuffer ok;
+  ok.pack(std::vector<std::string>{"a", "bc"});
+  const auto ok_bytes = std::move(ok).take();
+  rt::UnpackBuffer o(ok_bytes);
+  EXPECT_EQ(o.unpack_string_vector(), (std::vector<std::string>{"a", "bc"}));
+  EXPECT_TRUE(o.empty());
 }
 
 // Blocks allocated on one rank thread are routinely released on another

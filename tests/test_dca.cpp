@@ -260,6 +260,36 @@ TEST(Dca, ParallelOutValidation) {
   });
 }
 
+TEST(Dca, MistypedSimpleArgumentIsATypedError) {
+  // Simple arguments go through the shared SIDL marshaller, which checks
+  // every one against the signature before anything is sent: an int where
+  // sum_all declares `in double x` is a typed usage error (TypeMismatch),
+  // not a std::bad_variant_access, and the port stays usable.
+  rt::spawn(2, [](rt::Communicator& world) {
+    dca::DcaFramework fw(world);
+    fw.instantiate("client", {0});
+    fw.instantiate("server", {1});
+    ServerData data;
+    if (fw.member_of("server")) {
+      fw.add_provides("server", "solver", make_solver(&data));
+    } else {
+      auto pkg = mxn::sidl::parse_package(kSidl);
+      fw.register_uses("client", "solver", pkg.interface("Solver"));
+    }
+    fw.connect("client", "solver", "server", "solver");
+    if (fw.member_of("server")) {
+      EXPECT_EQ(fw.serve("server", 1), 1);
+    } else {
+      auto port = fw.get_port("client", "solver");
+      auto cohort = fw.cohort("client");
+      EXPECT_THROW(port->call(cohort, "sum_all", {std::int32_t(3)}),
+                   rt::UsageError);
+      auto r = port->call(cohort, "sum_all", {3.0});
+      EXPECT_DOUBLE_EQ(std::get<double>(r.ret), 3.0);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Figure 5: the synchronization problem
 // ---------------------------------------------------------------------------

@@ -335,3 +335,54 @@ TEST(Fabric, BatchExactlyOnceUnderChaos) {
                                  .min_tag = 1 << 20}});
   }
 }
+
+
+TEST(Fabric, InterleavedPlainAndBatchedCallsExactlyOnceUnderChaos) {
+  // Plain and batched calls share one proxy, one sequence counter and one
+  // reply stream. Under 5% drop + 5% dup on every PRMI message, each wait
+  // must discard duplicated replies of the other kind (stale replies) and
+  // the provider must answer duplicated headers of either kind from its
+  // reply cache (dup requests) — every result correct, every bump()
+  // executed exactly once, in order.
+  constexpr int kRounds = 8, kBatch = 4, kSeeds = 6;
+  constexpr int kTotal =
+      kRounds * kBatch * (kBatch + 1) / 2 + kRounds * (kRounds + 1) / 2;
+  const auto stale0 = ctr("prmi.stale_replies");
+  const auto dups0 = ctr("prmi.dup_requests");
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    run_prmi(
+        1, 1,
+        [&](prmi::RemotePort& port, rt::Communicator&) {
+          port.set_retry_policy(prmi::RetryPolicy{
+              .timeout_ms = 120, .max_retries = 6, .backoff_ms = 2});
+          // bump returns the running total, so each value proves every
+          // earlier call executed once.
+          int running = 0;
+          for (int round = 1; round <= kRounds; ++round) {
+            for (int i = 1; i <= kBatch; ++i)
+              port.queue_independent("bump", {std::int32_t(i)}, 0);
+            const auto results = port.flush_batch();
+            ASSERT_EQ(results.size(), static_cast<std::size_t>(kBatch));
+            for (int i = 1; i <= kBatch; ++i) {
+              running += i;
+              EXPECT_EQ(std::get<std::int32_t>(results[i - 1].ret), running);
+            }
+            const auto r =
+                port.call_independent("bump", {std::int32_t(round)}, 0);
+            running += round;
+            EXPECT_EQ(std::get<std::int32_t>(r.ret), running);
+          }
+          EXPECT_EQ(running, kTotal);
+        },
+        [&](int executed) { EXPECT_EQ(executed, kTotal); },
+        {.deadlock_timeout_ms = 8000,
+         .default_recv_timeout_ms = 2500,
+         .faults = rt::FaultPlan{.seed = static_cast<std::uint64_t>(seed),
+                                 .drop = 0.05,
+                                 .dup = 0.05,
+                                 .min_tag = 1 << 20}});
+  }
+  EXPECT_GT(ctr("prmi.stale_replies"), stale0);
+  EXPECT_GT(ctr("prmi.dup_requests"), dups0);
+}

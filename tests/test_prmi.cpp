@@ -584,6 +584,48 @@ TEST(Prmi, UnknownComponentAndPortErrors) {
   });
 }
 
+TEST(Prmi, CorruptHeaderIndicesAreUsageErrors) {
+  // Indices read off the wire are checked where the provider resolves
+  // them: a method index past the interface, a connection id nobody
+  // connected, and an empty participant list each make serve() raise the
+  // typed rt::UsageError instead of an unchecked lookup failure.
+  rt::spawn(2, [&](rt::Communicator& world) {
+    prmi::DistributedFramework fw(world);
+    fw.instantiate("client", {0});
+    fw.instantiate("server", {1});
+    ServerState state;
+    if (fw.member_of("server")) {
+      fw.add_provides("server", "engine",
+                      make_engine_servant(fw.cohort("server"), nullptr,
+                                          &state));
+    } else {
+      auto pkg = mxn::sidl::parse_package(kSidl);
+      fw.register_uses("client", "engine", pkg.interface("Engine"));
+    }
+    fw.connect("client", "engine", "server", "engine");
+    if (fw.member_of("server")) {
+      for (int i = 0; i < 3; ++i)
+        EXPECT_THROW(fw.serve("server", 1), rt::UsageError) << "header " << i;
+      EXPECT_EQ(state.nudges.load(), 0);
+      return;
+    }
+    auto header = [](int conn, int method, std::vector<int> participants) {
+      rt::PackBuffer b;
+      b.pack(static_cast<std::uint8_t>(prmi::MsgKind::InvokeIndependent));
+      b.pack(conn);
+      b.pack(1);  // seq
+      b.pack(0);  // epoch
+      b.pack(method);
+      b.pack(participants);
+      b.pack(std::int32_t(1));  // nudge's `amount`
+      return std::move(b).take();
+    };
+    world.send(1, prmi::listen_tag(1), header(0, 99, {0}));
+    world.send(1, prmi::listen_tag(1), header(7, 4, {0}));
+    world.send(1, prmi::listen_tag(1), header(0, 4, {}));
+  });
+}
+
 // Parameterized M x N sweep for collective calls with a parallel argument.
 class PrmiShapeSweep : public ::testing::TestWithParam<std::pair<int, int>> {
 };

@@ -1,8 +1,10 @@
 // Tests for the SIDL-subset parser (src/sidl) that drives the PRMI proxy
-// layers: grammar coverage, semantic rules, and error reporting.
+// layers: grammar coverage, semantic rules, and error reporting; and for the
+// shared argument marshaller (sidl/marshal.hpp) under PRMI and DCA.
 
 #include <gtest/gtest.h>
 
+#include "sidl/marshal.hpp"
 #include "sidl/parser.hpp"
 
 namespace sidl = mxn::sidl;
@@ -182,4 +184,44 @@ TEST(SidlParser, TypeToStringRoundsTrip) {
   )");
   EXPECT_EQ(pkg.interface("I").method("f").params[0].type.to_string(),
             "parallel array<double,2>");
+}
+
+// A value variant without float alternatives, like DCA's.
+using NoFloat = std::variant<std::monostate, bool, std::int32_t, double,
+                             std::string, std::vector<double>>;
+
+TEST(SidlMarshal, RoundTripsEverySupportedAlternative) {
+  const std::vector<std::pair<sidl::TypeRef, NoFloat>> cases = {
+      {{.kind = TypeKind::Bool}, true},
+      {{.kind = TypeKind::Int}, std::int32_t(-7)},
+      {{.kind = TypeKind::Double}, 2.5},
+      {{.kind = TypeKind::String}, std::string("flux")},
+      {{.kind = TypeKind::Array, .elem = TypeKind::Double, .array_ndim = 1},
+       std::vector<double>{1.0, 2.0}},
+  };
+  for (const auto& [t, v] : cases) {
+    mxn::rt::PackBuffer b;
+    sidl::pack_value(b, v, t);
+    const auto bytes = std::move(b).take();
+    mxn::rt::UnpackBuffer u(bytes);
+    EXPECT_EQ(sidl::unpack_value<NoFloat>(u, t), v) << t.to_string();
+    EXPECT_TRUE(u.empty());
+  }
+}
+
+TEST(SidlMarshal, RejectsMistypedUnsupportedAndCorruptValues) {
+  const sidl::TypeRef dbl{.kind = TypeKind::Double};
+  const sidl::TypeRef flt{.kind = TypeKind::Float};
+  mxn::rt::PackBuffer b;
+  EXPECT_THROW(sidl::pack_value(b, NoFloat{std::int32_t(3)}, dbl),
+               sidl::TypeMismatch);
+  EXPECT_FALSE(sidl::conforms(NoFloat{2.5}, flt));
+  const auto four = mxn::rt::to_bytes(1.0f);
+  mxn::rt::UnpackBuffer f(four);
+  EXPECT_THROW((void)sidl::unpack_value<NoFloat>(f, flt), sidl::TypeMismatch);
+  // Only 0 and 1 are bools on the wire.
+  const auto two = mxn::rt::to_bytes(std::uint8_t{2});
+  mxn::rt::UnpackBuffer u(two);
+  EXPECT_THROW((void)sidl::unpack_value<NoFloat>(u, {.kind = TypeKind::Bool}),
+               mxn::rt::UsageError);
 }
