@@ -4,8 +4,13 @@
 //  (b) interpolation as distributed sparse matvec: cost vs halo fraction
 //      (how much of x must be fetched from other ranks);
 //  (c) Rearranger (intra-component redistribution) vs Router round trip.
+// Every Router, Rearranger and matvec result is checked against the serial
+// answer; a mismatch prints FAILED and exits non-zero. The Router and
+// Rearranger rows also count the messages and bytes of one transfer.
 
+#include <barrier>
 #include <numeric>
+#include <stdexcept>
 
 #include "bench_util.hpp"
 #include "mct/router.hpp"
@@ -20,11 +25,62 @@ using mct::Index;
 
 namespace {
 
-double router_throughput(int m, int n, Index gsize, int nfields,
-                         int iters) {
+void check(bool ok, const std::string& what) {
+  if (!ok) throw std::runtime_error(what);
+}
+
+/// The value every field f holds at global point g before a transfer.
+double value_at(int f, Index g) { return 1000.0 * f + double(g); }
+
+void fill(AttrVect& av, const GlobalSegMap& map, int rank) {
+  for (int f = 0; f < av.nfields(); ++f)
+    for (Index l = 0; l < av.length(); ++l)
+      av.field(f)[l] = value_at(f, map.global_index(rank, l));
+}
+
+void check_exact(const AttrVect& av, const GlobalSegMap& map, int rank,
+                 const char* what) {
+  for (int f = 0; f < av.nfields(); ++f)
+    for (Index l = 0; l < av.length(); ++l)
+      check(av.field(f)[l] == value_at(f, map.global_index(rank, l)),
+            std::string(what) + " result differs from the serial answer");
+}
+
+/// Wall time per transfer plus the traffic of one counted transfer.
+struct XferCost {
+  double seconds = 0;
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Run `xfer` once with every rank quiesced on `gate` around it, so the
+/// universe-wide traffic delta rank 0 reads is exactly that transfer's.
+template <class Xfer>
+void count_one(rt::Communicator& world, std::barrier<>& gate, XferCost& out,
+               const Xfer& xfer) {
+  gate.arrive_and_wait();
+  const auto before = world.stats();
+  gate.arrive_and_wait();
+  try {
+    xfer();
+  } catch (...) {
+    gate.arrive_and_drop();  // release the ranks waiting below
+    throw;
+  }
+  gate.arrive_and_wait();
+  if (world.rank() == 0) {
+    const auto delta = world.stats() - before;
+    out.msgs = delta.messages;
+    out.bytes = delta.bytes;
+  }
+}
+
+XferCost router_throughput(int m, int n, Index gsize, int nfields,
+                           int iters) {
   auto src_map = GlobalSegMap::block(gsize, m);
   auto dst_map = GlobalSegMap::cyclic(gsize, n, 16);
-  double seconds = 0;
+  XferCost out;
+  std::barrier<> gate(m + n);
   rt::spawn(m + n, [&](rt::Communicator& world) {
     const bool is_src = world.rank() < m;
     auto cohort = world.split(is_src ? 0 : 1, world.rank());
@@ -43,12 +99,14 @@ double router_throughput(int m, int n, Index gsize, int nfields,
     if (is_src) {
       auto router = mct::Router::source(cfg, src_map);
       AttrVect av(fields, src_map.local_size(cohort.rank()));
+      fill(av, src_map, cohort.rank());
       for (int i = 0; i < 3; ++i) router.send(av);
       world.barrier();
       const double t0 = bench::now_s();
       for (int i = 0; i < iters; ++i) router.send(av);
       world.barrier();
-      if (world.rank() == 0) seconds = (bench::now_s() - t0) / iters;
+      if (world.rank() == 0) out.seconds = (bench::now_s() - t0) / iters;
+      count_one(world, gate, out, [&] { router.send(av); });
     } else {
       auto router = mct::Router::destination(cfg, dst_map);
       AttrVect av(fields, dst_map.local_size(cohort.rank()));
@@ -56,9 +114,12 @@ double router_throughput(int m, int n, Index gsize, int nfields,
       world.barrier();
       for (int i = 0; i < iters; ++i) router.recv(av);
       world.barrier();
+      av.zero();
+      count_one(world, gate, out, [&] { router.recv(av); });
+      check_exact(av, dst_map, cohort.rank(), "Router");
     }
   });
-  return seconds;
+  return out;
 }
 
 struct MatvecCost {
@@ -97,40 +158,59 @@ MatvecCost matvec_cost(Index n, Index offset, int iters) {
       out.seconds = (bench::now_s() - t0) / iters;
       out.halo = A.halo_size();
     }
+    for (Index l = 0; l < y.length(); ++l) {
+      const Index r = map.global_index(me, l);
+      check(y.field(0)[l] == 0.5 * double(r) + 0.5 * double((r + offset) % n),
+            "matvec result differs from the serial answer");
+    }
   });
   return out;
 }
 
-double rearrange_cost(Index gsize, int iters) {
+XferCost rearrange_cost(Index gsize, int iters) {
   const int procs = 4;
   auto block = GlobalSegMap::block(gsize, procs);
   auto cyc = GlobalSegMap::cyclic(gsize, procs, 32);
-  double seconds = 0;
+  XferCost out;
+  std::barrier<> gate(procs);
   rt::spawn(procs, [&](rt::Communicator& world) {
+    const int me = world.rank();
     mct::Rearranger rearr(world, block, cyc, 220);
-    AttrVect src({"f"}, block.local_size(world.rank()));
-    AttrVect dst({"f"}, cyc.local_size(world.rank()));
+    AttrVect src({"f"}, block.local_size(me));
+    AttrVect dst({"f"}, cyc.local_size(me));
+    fill(src, block, me);
     for (int i = 0; i < 3; ++i) rearr.rearrange(src, dst);
     world.barrier();
     const double t0 = bench::now_s();
     for (int i = 0; i < iters; ++i) rearr.rearrange(src, dst);
     world.barrier();
-    if (world.rank() == 0) seconds = (bench::now_s() - t0) / iters;
+    if (me == 0) out.seconds = (bench::now_s() - t0) / iters;
+    dst.zero();
+    count_one(world, gate, out, [&] { rearr.rearrange(src, dst); });
+    check_exact(dst, cyc, me, "Rearranger");
   });
-  return seconds;
+  return out;
 }
 
-}  // namespace
+/// Messages per transfer and mean payload bytes per message.
+std::vector<std::string> traffic_cells(const XferCost& c) {
+  return {std::to_string(c.msgs),
+          bench::fmt("%.1f", c.msgs ? double(c.bytes) / double(c.msgs) : 0)};
+}
 
-int main() {
+int run() {
   std::printf("=== MCT Router: intermodule AttrVect transfer ===\n");
-  bench::Table t({"M", "N", "points", "fields", "per_xfer_us", "MB/s"});
+  bench::Table t({"M", "N", "points", "fields", "per_xfer_us", "MB/s",
+                  "msgs/xfer", "bytes/msg"});
   for (Index g : {4096, 65536}) {
     for (int nf : {1, 4}) {
-      const double s = router_throughput(3, 2, g, nf, 15);
-      t.row({"3", "2", std::to_string(g), std::to_string(nf),
-             bench::fmt_us(s),
-             bench::fmt_mbs(double(g) * nf * sizeof(double), s)});
+      const XferCost c = router_throughput(3, 2, g, nf, 15);
+      std::vector<std::string> row = {
+          "3", "2", std::to_string(g), std::to_string(nf),
+          bench::fmt_us(c.seconds),
+          bench::fmt_mbs(double(g) * nf * sizeof(double), c.seconds)};
+      for (auto& cell : traffic_cells(c)) row.push_back(std::move(cell));
+      t.row(std::move(row));
     }
   }
   t.print();
@@ -146,9 +226,13 @@ int main() {
   t2.print();
 
   std::printf("\n=== Rearranger: intra-component redistribution ===\n");
-  bench::Table t3({"points", "per_rearrange_us"});
+  bench::Table t3({"points", "per_rearrange_us", "msgs/xfer", "bytes/msg"});
   for (Index g : {4096, 65536, 262144}) {
-    t3.row({std::to_string(g), bench::fmt_us(rearrange_cost(g, 10))});
+    const XferCost c = rearrange_cost(g, 10);
+    std::vector<std::string> row = {std::to_string(g),
+                                    bench::fmt_us(c.seconds)};
+    for (auto& cell : traffic_cells(c)) row.push_back(std::move(cell));
+    t3.row(std::move(row));
   }
   t3.print();
   std::printf("\nShape check: multi-field transfers amortize per-message "
@@ -157,4 +241,15 @@ int main() {
               "boundaries; the Rearranger scales with bytes crossing "
               "owners.\n");
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    std::printf("FAILED: %s\n", e.what());
+    return 1;
+  }
 }

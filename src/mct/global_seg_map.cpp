@@ -39,11 +39,7 @@ GlobalSegMap::GlobalSegMap(Index gsize, std::vector<Seg> segs)
 
   nprocs_ = maxo + 1;
   by_rank_.assign(nprocs_, {});
-  local_sizes_.assign(nprocs_, 0);
-  for (const auto& s : segs_) {
-    by_rank_[s.owner].push_back(s);
-    local_sizes_[s.owner] += s.length;
-  }
+  for (const auto& s : segs_) by_rank_[s.owner].push_back(s);
 
   // Ownership runs: adjacent same-owner segments merge, matching the
   // normalization footprint() applies per rank.
@@ -68,9 +64,8 @@ GlobalSegMap GlobalSegMap::block(Index gsize, int nprocs) {
     segs.push_back({start, len, p});
     start += len;
   }
-  // Ensure every rank owns at least zero points but nprocs is respected by
-  // padding trailing empty ranks is not possible (segments must be
-  // non-empty); callers should keep nprocs <= gsize.
+  // Segments must be non-empty, so ranks past the last block get none and
+  // nprocs() can be below `nprocs`; segs_of() reports them as owning nothing.
   return GlobalSegMap(gsize, std::move(segs));
 }
 
@@ -96,6 +91,18 @@ GlobalSegMap GlobalSegMap::from_descriptor(const dad::Descriptor& desc,
   for (const auto& os : linear::ownership_map(desc, lin))
     segs.push_back({os.seg.lo, os.seg.hi - os.seg.lo, os.owner});
   return GlobalSegMap(lin.total(), std::move(segs));
+}
+
+const std::vector<GlobalSegMap::Seg>& GlobalSegMap::segs_of(int rank) const {
+  static const std::vector<Seg> kNone;
+  if (rank < 0) throw UsageError("GlobalSegMap rank must be >= 0");
+  return rank < nprocs_ ? by_rank_[rank] : kNone;
+}
+
+Index GlobalSegMap::local_size(int rank) const {
+  Index n = 0;
+  for (const auto& s : segs_of(rank)) n += s.length;
+  return n;
 }
 
 int GlobalSegMap::owner(Index gidx) const {
@@ -147,6 +154,10 @@ void GlobalSegMap::pack(rt::PackBuffer& b) const {
 GlobalSegMap GlobalSegMap::unpack(rt::UnpackBuffer& u) {
   const auto gsize = u.unpack<Index>();
   const auto n = u.unpack<std::uint64_t>();
+  // A packed Seg is start + length + owner: 20 bytes. Compare the count, not
+  // n * 20, so a hostile count can neither wrap nor size the allocation.
+  if (n > u.remaining() / (2 * sizeof(Index) + sizeof(int)))
+    throw UsageError("GlobalSegMap: segment count exceeds the payload");
   std::vector<Seg> segs(n);
   for (auto& s : segs) {
     s.start = u.unpack<Index>();

@@ -50,14 +50,11 @@ class GlobalSegMap {
   [[nodiscard]] int nprocs() const { return nprocs_; }
   [[nodiscard]] const std::vector<Seg>& segs() const { return segs_; }
 
-  /// This rank's segments, in local storage order.
-  [[nodiscard]] const std::vector<Seg>& segs_of(int rank) const {
-    return by_rank_.at(rank);
-  }
+  /// This rank's segments, in local storage order. A rank at or above
+  /// nprocs() owns nothing; a negative rank is a UsageError.
+  [[nodiscard]] const std::vector<Seg>& segs_of(int rank) const;
 
-  [[nodiscard]] Index local_size(int rank) const {
-    return local_sizes_.at(rank);
-  }
+  [[nodiscard]] Index local_size(int rank) const;
 
   [[nodiscard]] int owner(Index gidx) const;
 
@@ -93,7 +90,6 @@ class GlobalSegMap {
   int nprocs_ = 0;
   std::vector<Seg> segs_;
   std::vector<std::vector<Seg>> by_rank_;
-  std::vector<Index> local_sizes_;
   // Sorted (start, seg index) for owner lookups.
   std::vector<std::pair<Index, std::size_t>> sorted_;
   // Ascending coalesced ownership runs (see ownership_runs()).

@@ -1,6 +1,6 @@
 #include "mct/router.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "sched/executor.hpp"
 
@@ -10,88 +10,27 @@ using rt::UsageError;
 
 namespace {
 
-/// Storage provenance of a rank under a GSMap: its segments in local
-/// storage order, with cumulative storage offsets (stride 1 — each segment
-/// is contiguous both in linear space and locally).
-std::vector<linear::ProvenancedSegment> provenance(const GlobalSegMap& gsm,
-                                                   int rank) {
+/// One copy plan per schedule entry over `rank`'s storage under `gsm`,
+/// compiled once and replayed by every transfer. The rank's storage
+/// provenance is its segments in local storage order, with cumulative
+/// storage offsets (stride 1 — each segment is contiguous both in linear
+/// space and locally), sorted by linear start.
+std::vector<rt::kernels::RunPlan> compile_plans(
+    const GlobalSegMap& gsm, int rank,
+    const std::vector<sched::PeerSegments>& entries) {
   std::vector<linear::ProvenancedSegment> prov;
   Index off = 0;
   for (const auto& s : gsm.segs_of(rank)) {
-    linear::ProvenancedSegment ps;
-    ps.seg = {s.start, s.start + s.length};
-    ps.storage_offset = off;
-    ps.storage_stride = 1;
-    prov.push_back(ps);
+    prov.push_back({{s.start, s.start + s.length}, off, 1});
     off += s.length;
   }
   std::sort(prov.begin(), prov.end(),
             [](const auto& a, const auto& b) { return a.seg.lo < b.seg.lo; });
-  return prov;
-}
-
-/// Sweep `mine` against the peer map's ownership runs once, bucketing the
-/// overlaps by owner — equivalent to intersecting `mine` with every peer's
-/// footprint, but O(|mine| + |runs|) instead of O(peers x map size). Owners
-/// >= max_peers are dropped (they were never queried before either). The
-/// callback receives (peer, segments) for each non-empty bucket, ascending.
-template <class Fn>
-void sweep_ownership(const std::vector<linear::Segment>& mine,
-                     const std::vector<linear::OwnedSegment>& runs,
-                     int max_peers, Fn&& emit) {
-  std::vector<std::vector<linear::Segment>> buckets(
-      static_cast<std::size_t>(max_peers));
-  std::size_t i = 0, j = 0;
-  while (i < mine.size() && j < runs.size()) {
-    const Index lo = std::max(mine[i].lo, runs[j].seg.lo);
-    const Index hi = std::min(mine[i].hi, runs[j].seg.hi);
-    if (lo < hi && runs[j].owner < max_peers)
-      buckets[static_cast<std::size_t>(runs[j].owner)].push_back({lo, hi});
-    if (mine[i].hi < runs[j].seg.hi)
-      ++i;
-    else
-      ++j;
-  }
-  for (int p = 0; p < max_peers; ++p) {
-    auto& segs = buckets[static_cast<std::size_t>(p)];
-    if (!segs.empty()) emit(p, std::move(segs));
-  }
-}
-
-/// Pack one field's elements straight into the payload, in pack_span
-/// framing (u64 count + raw doubles — the wire format is unchanged), by
-/// replaying a compiled copy plan (the pattern never changes between
-/// transfers, so the segment walk and run coalescing were paid once at
-/// Router construction). Staging is only needed when the payload cursor
-/// lands misaligned for double.
-void pack_field(rt::PackBuffer& b, const rt::kernels::RunPlan& plan,
-                Index elements, const double* field) {
-  b.pack(static_cast<std::uint64_t>(elements));
-  const std::size_t nbytes =
-      static_cast<std::size_t>(elements) * sizeof(double);
-  std::byte* out = b.append_uninitialized(nbytes);
-  if (reinterpret_cast<std::uintptr_t>(out) % alignof(double) == 0) {
-    plan.gather(field, out, sizeof(double));
-    rt::note_bytes_copied(nbytes);
-  } else {
-    std::vector<double> staged(static_cast<std::size_t>(elements));
-    plan.gather(field, staged.data(), sizeof(double));
-    std::memcpy(out, staged.data(), nbytes);
-    rt::note_bytes_copied(2 * nbytes);
-  }
-}
-
-/// Mirror of pack_field: scatter one field's span out of the payload into
-/// `field` through the compiled plan, aliasing the payload bytes in place
-/// when aligned instead of copying them into a staging vector.
-void unpack_field(rt::UnpackBuffer& u, const rt::kernels::RunPlan& plan,
-                  Index elements, double* field, const char* mismatch_what) {
-  const auto n = u.unpack<std::uint64_t>();
-  if (static_cast<Index>(n) != elements) throw UsageError(mismatch_what);
-  auto raw = u.unpack_raw(n * sizeof(double));
-  std::vector<double> fallback;
-  const double* data = sched::detail::aligned_or_copy<double>(raw, fallback);
-  plan.scatter(field, data, sizeof(double));
+  std::vector<rt::kernels::RunPlan> plans;
+  plans.reserve(entries.size());
+  for (const auto& e : entries)
+    plans.push_back(sched::compile_run_plan(prov, e.segs));
+  return plans;
 }
 
 /// Swap GSMaps leader-to-leader and broadcast the peer's within the cohort.
@@ -111,33 +50,65 @@ GlobalSegMap exchange_gsm(RouterConfig& cfg, const GlobalSegMap& mine,
 
 }  // namespace
 
+void detail::FieldTransfer::run(const AttrVect* src, AttrVect* dst) const {
+  // The engine hands back schedule entries; an entry's index picks its plan.
+  const int nf = (src != nullptr ? src : dst)->nfields();
+  sched::execute_bytes(
+      sched, static_cast<std::size_t>(nf) * sizeof(double), coupling, tag,
+      [&](const sched::PeerSegments& pe, std::byte* out) {
+        const auto& plan = send_plans[static_cast<std::size_t>(
+            &pe - sched.sends.data())];
+        const auto field_bytes =
+            static_cast<std::size_t>(pe.elements) * sizeof(double);
+        for (int f = 0; f < nf; ++f)
+          plan.gather(src->field(f).data(), out + f * field_bytes,
+                      sizeof(double));
+      },
+      [&](const sched::PeerSegments& pe, std::span<const std::byte> in) {
+        const auto& plan = recv_plans[static_cast<std::size_t>(
+            &pe - sched.recvs.data())];
+        std::vector<double> fallback;
+        const double* data = sched::detail::aligned_or_copy(in, fallback);
+        for (int f = 0; f < nf; ++f)
+          plan.scatter(dst->field(f).data(), data + f * pe.elements,
+                       sizeof(double));
+      });
+}
+
 Router Router::build(RouterConfig cfg, const GlobalSegMap& mine,
                      bool is_source) {
   if (mine.gsize() <= 0) throw UsageError("empty GSMap");
-  Router r;
   const int me = cfg.cohort.rank();
   const GlobalSegMap peer_gsm = exchange_gsm(cfg, mine, cfg.tag);
   if (peer_gsm.gsize() != mine.gsize())
     throw UsageError("Router GSMaps must number the same grid (" +
                      std::to_string(mine.gsize()) + " vs " +
                      std::to_string(peer_gsm.gsize()) + " points)");
+  const int npeers = static_cast<int>(cfg.peer_ranks.size());
+  if (mine.nprocs() > cfg.cohort.size() || peer_gsm.nprocs() > npeers)
+    throw UsageError("Router GSMap names more owners than its component "
+                     "has ranks");
 
-  const auto my_foot = mine.footprint(me);
-  sweep_ownership(my_foot, peer_gsm.ownership_runs(),
-                  static_cast<int>(cfg.peer_ranks.size()),
-                  [&](int p, std::vector<linear::Segment> segs) {
-                    Peer peer;
-                    peer.peer = p;
-                    peer.elements = linear::total_length(segs);
-                    peer.segs = std::move(segs);
-                    r.peers_.push_back(std::move(peer));
-                  });
-  r.prov_ = provenance(mine, me);
-  for (auto& peer : r.peers_)
-    peer.plan = sched::compile_run_plan(r.prov_, peer.segs);
-  r.local_size_ = mine.local_size(me);
+  Router r;
   r.is_source_ = is_source;
-  r.cfg_ = std::move(cfg);
+  r.local_size_ = mine.local_size(me);
+  auto entries = sched::sweep_owners(mine.footprint(me),
+                                     peer_gsm.ownership_runs(), npeers);
+  auto plans = compile_plans(mine, me, entries);
+  auto& x = r.xfer_;
+  x.coupling.channel = std::move(cfg.channel);
+  x.tag = cfg.tag + 1;
+  if (is_source) {
+    x.sched.sends = std::move(entries);
+    x.send_plans = std::move(plans);
+    x.coupling.src_ranks = std::move(cfg.my_ranks);
+    x.coupling.dst_ranks = std::move(cfg.peer_ranks);
+  } else {
+    x.sched.recvs = std::move(entries);
+    x.recv_plans = std::move(plans);
+    x.coupling.src_ranks = std::move(cfg.peer_ranks);
+    x.coupling.dst_ranks = std::move(cfg.my_ranks);
+  }
   return r;
 }
 
@@ -153,33 +124,14 @@ void Router::send(const AttrVect& av) {
   if (!is_source_) throw UsageError("send() on a destination Router");
   if (av.length() != local_size_)
     throw UsageError("AttrVect length does not match the GSMap");
-  const int nf = av.nfields();
-  for (const auto& peer : peers_) {
-    rt::PackBuffer b;
-    b.pack(nf);
-    b.pack(peer.elements);
-    for (int f = 0; f < nf; ++f)
-      pack_field(b, peer.plan, peer.elements, av.field(f).data());
-    cfg_.channel.send(cfg_.peer_ranks.at(peer.peer), cfg_.tag + 1,
-                      std::move(b).take());
-  }
+  xfer_.run(&av, nullptr);
 }
 
 void Router::recv(AttrVect& av) {
   if (is_source_) throw UsageError("recv() on a source Router");
   if (av.length() != local_size_)
     throw UsageError("AttrVect length does not match the GSMap");
-  for (const auto& peer : peers_) {
-    auto msg = cfg_.channel.recv(cfg_.peer_ranks.at(peer.peer), cfg_.tag + 1);
-    rt::UnpackBuffer u(msg.payload);
-    const int nf = u.unpack<int>();
-    const auto elements = u.unpack<Index>();
-    if (nf != av.nfields() || elements != peer.elements)
-      throw UsageError("Router message does not match the schedule");
-    for (int f = 0; f < nf; ++f)
-      unpack_field(u, peer.plan, peer.elements, av.field(f).data(),
-                   "Router message does not match the schedule");
-  }
+  xfer_.run(nullptr, &av);
 }
 
 // ===========================================================================
@@ -187,35 +139,22 @@ void Router::recv(AttrVect& av) {
 // ===========================================================================
 
 Rearranger::Rearranger(rt::Communicator cohort, const GlobalSegMap& src,
-                       const GlobalSegMap& dst, int tag)
-    : cohort_(std::move(cohort)), tag_(tag) {
+                       const GlobalSegMap& dst, int tag) {
   if (src.gsize() != dst.gsize())
     throw UsageError("Rearranger GSMaps must number the same grid");
-  const int me = cohort_.rank();
-  const auto src_foot = src.footprint(me);
-  const auto dst_foot = dst.footprint(me);
-  sweep_ownership(src_foot, dst.ownership_runs(), cohort_.size(),
-                  [&](int p, std::vector<linear::Segment> segs) {
-                    Peer peer;
-                    peer.peer = p;
-                    peer.elements = linear::total_length(segs);
-                    peer.segs = std::move(segs);
-                    sends_.push_back(std::move(peer));
-                  });
-  sweep_ownership(dst_foot, src.ownership_runs(), cohort_.size(),
-                  [&](int p, std::vector<linear::Segment> segs) {
-                    Peer peer;
-                    peer.peer = p;
-                    peer.elements = linear::total_length(segs);
-                    peer.segs = std::move(segs);
-                    recvs_.push_back(std::move(peer));
-                  });
-  src_prov_ = provenance(src, me);
-  dst_prov_ = provenance(dst, me);
-  for (auto& peer : sends_)
-    peer.plan = sched::compile_run_plan(src_prov_, peer.segs);
-  for (auto& peer : recvs_)
-    peer.plan = sched::compile_run_plan(dst_prov_, peer.segs);
+  const int n = cohort.size();
+  const int me = cohort.rank();
+  if (src.nprocs() > n || dst.nprocs() > n)
+    throw UsageError("Rearranger GSMap names more owners than the cohort "
+                     "has ranks");
+  xfer_.sched.sends =
+      sched::sweep_owners(src.footprint(me), dst.ownership_runs(), n);
+  xfer_.sched.recvs =
+      sched::sweep_owners(dst.footprint(me), src.ownership_runs(), n);
+  xfer_.send_plans = compile_plans(src, me, xfer_.sched.sends);
+  xfer_.recv_plans = compile_plans(dst, me, xfer_.sched.recvs);
+  xfer_.coupling = sched::self_coupling(std::move(cohort));
+  xfer_.tag = tag;
   src_size_ = src.local_size(me);
   dst_size_ = dst.local_size(me);
 }
@@ -225,20 +164,7 @@ void Rearranger::rearrange(const AttrVect& src_av, AttrVect& dst_av) {
     throw UsageError("AttrVect lengths do not match the Rearranger GSMaps");
   if (!src_av.same_schema(dst_av))
     throw UsageError("Rearranger AttrVects must share a field schema");
-  const int nf = src_av.nfields();
-  for (const auto& peer : sends_) {
-    rt::PackBuffer b;
-    for (int f = 0; f < nf; ++f)
-      pack_field(b, peer.plan, peer.elements, src_av.field(f).data());
-    cohort_.send(peer.peer, tag_, std::move(b).take());
-  }
-  for (const auto& peer : recvs_) {
-    auto msg = cohort_.recv(peer.peer, tag_);
-    rt::UnpackBuffer u(msg.payload);
-    for (int f = 0; f < nf; ++f)
-      unpack_field(u, peer.plan, peer.elements, dst_av.field(f).data(),
-                   "Rearranger message does not match the schedule");
-  }
+  xfer_.run(&src_av, &dst_av);
 }
 
 }  // namespace mxn::mct

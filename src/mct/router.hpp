@@ -4,6 +4,8 @@
 #include "mct/global_seg_map.hpp"
 #include "rt/communicator.hpp"
 #include "rt/kernels.hpp"
+#include "sched/coupling.hpp"
+#include "sched/schedule.hpp"
 
 namespace mxn::mct {
 
@@ -16,6 +18,26 @@ struct RouterConfig {
   std::vector<int> peer_ranks;
   int tag = 0;  // distinct tag per Router pair sharing a channel
 };
+
+namespace detail {
+
+/// The transfer both MCT movers replay: a fixed segment schedule, one
+/// compiled copy plan per entry, run through sched::execute_bytes. A peer's
+/// payload is its elements one field after another (element width
+/// nfields * sizeof(double)); each field is gathered or scattered by that
+/// entry's plan.
+struct FieldTransfer {
+  sched::SegmentSchedule sched;
+  std::vector<rt::kernels::RunPlan> send_plans, recv_plans;
+  sched::Coupling coupling;
+  int tag = 0;
+
+  /// Send `src`'s share and drain into `dst` in arrival order. Either may
+  /// be null when this rank has no entries on that side.
+  void run(const AttrVect* src, AttrVect* dst) const;
+};
+
+}  // namespace detail
 
 /// MCT's intermodule communications scheduler (paper §4.5): moves AttrVect
 /// field data between two components decomposed by different GlobalSegMaps.
@@ -35,35 +57,29 @@ class Router {
   /// Point-to-point, no barriers; safe to call before the peer posts recv.
   void send(const AttrVect& av);
 
-  /// Import into `av`; blocks until all expected pieces arrive.
+  /// Import into `av`; blocks until all expected pieces arrive, unpacking
+  /// them in arrival order.
   void recv(AttrVect& av);
 
   [[nodiscard]] Index local_size() const { return local_size_; }
-  [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
+  [[nodiscard]] std::size_t peer_count() const {
+    return xfer_.send_plans.size() + xfer_.recv_plans.size();
+  }
 
  private:
   Router() = default;
   static Router build(RouterConfig cfg, const GlobalSegMap& mine,
                       bool is_source);
 
-  struct Peer {
-    int peer = 0;  // peer cohort rank
-    std::vector<linear::Segment> segs;
-    Index elements = 0;
-    rt::kernels::RunPlan plan;  // compiled once; replayed per transfer
-  };
-
-  RouterConfig cfg_;
+  detail::FieldTransfer xfer_;
   bool is_source_ = true;
   Index local_size_ = 0;
-  std::vector<linear::ProvenancedSegment> prov_;  // my storage provenance
-  std::vector<Peer> peers_;
 };
 
 /// MCT's intramodule parallel data redistribution: moves an AttrVect from
 /// one decomposition to another within the same component (both GSMaps over
-/// the same cohort). Implemented as a self-coupled Router schedule with a
-/// local fast path for data that does not change owner.
+/// the same cohort). Implemented as a self-coupled Router schedule; data
+/// that keeps its owner still travels as a message to self.
 class Rearranger {
  public:
   Rearranger(rt::Communicator cohort, const GlobalSegMap& src,
@@ -72,18 +88,8 @@ class Rearranger {
   void rearrange(const AttrVect& src_av, AttrVect& dst_av);
 
  private:
-  struct Peer {
-    int peer = 0;
-    std::vector<linear::Segment> segs;
-    Index elements = 0;
-    rt::kernels::RunPlan plan;  // compiled once; replayed per transfer
-  };
-
-  rt::Communicator cohort_;
-  int tag_;
+  detail::FieldTransfer xfer_;
   Index src_size_ = 0, dst_size_ = 0;
-  std::vector<linear::ProvenancedSegment> src_prov_, dst_prov_;
-  std::vector<Peer> sends_, recvs_;
 };
 
 }  // namespace mxn::mct

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 namespace mxn::rt::kernels {
@@ -132,20 +131,15 @@ class RunCoalescer {
 };
 
 /// A compiled copy plan: the BlockRuns a (footprint, segments) walk
-/// coalesces into, kept so steady-state transfers replay the runs without
-/// re-walking the segment lists or re-coalescing the pattern. The walk and
-/// the merge logic cost a handful of cycles per *segment*; for cyclic
-/// footprints (one element per segment) that overhead dwarfs the copy
-/// itself, and it is pure waste when the schedule is fixed — an mct Router
-/// ships the same (provenance, segments) pattern every timestep. Plans are
+/// coalesces into. It is the one segment copy path: one-shot pack/unpack
+/// compiles a plan and replays it once, and a fixed schedule (an mct Router
+/// ships the same pattern every timestep) keeps its plans and replays them
+/// without re-walking the segment lists or re-coalescing. Plans are
 /// width-agnostic; the element width binds at gather()/scatter() time.
 class RunPlan {
  public:
   /// Coalescer sink: collect one merged run.
   void add(const BlockRun& r) { runs_.push_back(r); }
-
-  [[nodiscard]] bool empty() const { return runs_.empty(); }
-  [[nodiscard]] const std::vector<BlockRun>& runs() const { return runs_; }
 
   /// Replay the plan in the pack direction: buf <- storage.
   void gather(const void* storage, void* buf, std::size_t width) const {
@@ -159,37 +153,6 @@ class RunPlan {
 
  private:
   std::vector<BlockRun> runs_;
-};
-
-/// Typed coalescer bound to a direction: Gather packs strided storage runs
-/// into a contiguous buffer, !Gather scatters the buffer back. Feed add();
-/// call flush() once at the end.
-template <class T, bool Gather>
-class RunCopy {
-  using Storage = std::conditional_t<Gather, const T*, T*>;
-  using Buf = std::conditional_t<Gather, T*, const T*>;
-
- public:
-  RunCopy(Storage storage, Buf buf)
-      : storage_(storage), buf_(buf), co_(&RunCopy::emit, this) {}
-
-  void add(std::int64_t s0, std::int64_t stride, std::int64_t n) {
-    co_.add(s0, stride, n);
-  }
-  void flush() { co_.flush(); }
-
- private:
-  static void emit(void* ctx, const BlockRun& r) {
-    auto* self = static_cast<RunCopy*>(ctx);
-    if constexpr (Gather)
-      gather_run(self->storage_, self->buf_, sizeof(T), r);
-    else
-      scatter_run(self->storage_, self->buf_, sizeof(T), r);
-  }
-
-  Storage storage_;
-  Buf buf_;
-  RunCoalescer co_;
 };
 
 }  // namespace mxn::rt::kernels

@@ -105,48 +105,15 @@ void for_each_segment_run(const std::vector<linear::ProvenancedSegment>& prov,
 
 }  // namespace detail
 
-/// Pack the elements of `segs` (ascending, each covered by the footprint in
-/// `prov`) from local storage into a linear-ordered buffer. The raw runs of
-/// the walk are streamed through rt::kernels::RunCopy, which coalesces
-/// adjacent unit-stride runs into single memcpys, fuses constant-delta run
-/// trains into block kernels, and dispatches pure strided gathers to the
-/// SIMD tiers (docs/PERFORMANCE.md, "Copy kernels").
-template <class T>
-void pack_segments(const std::vector<linear::ProvenancedSegment>& prov,
-                   const std::vector<linear::Segment>& segs, const T* local,
-                   T* buf) {
-  rt::kernels::RunCopy<T, /*Gather=*/true> rg(local, buf);
-  detail::for_each_segment_run(
-      prov, segs,
-      [&](Index s0, Index stride, Index /*k*/, Index n) {
-        // Runs arrive in buffer order, so the coalescer's implicit cursor
-        // tracks k exactly.
-        rg.add(s0, stride, n);
-      });
-  rg.flush();
-}
-
-/// Mirror image of pack_segments: scatter a linear-ordered buffer back into
-/// local storage, through the same coalescing kernel layer.
-template <class T>
-void unpack_segments(const std::vector<linear::ProvenancedSegment>& prov,
-                     const std::vector<linear::Segment>& segs, T* local,
-                     const T* buf) {
-  rt::kernels::RunCopy<T, /*Gather=*/false> rs(local, buf);
-  detail::for_each_segment_run(
-      prov, segs,
-      [&](Index s0, Index stride, Index /*k*/, Index n) {
-        rs.add(s0, stride, n);
-      });
-  rs.flush();
-}
-
 /// Compile the (footprint, segments) walk into a reusable
-/// rt::kernels::RunPlan. pack_segments/unpack_segments re-walk and
-/// re-coalesce on every call, which is right for one-shot transfers; a
-/// caller that ships the same pattern repeatedly (the mct Router and
-/// Rearranger reuse one schedule every timestep) compiles once and replays
-/// with plan.gather()/plan.scatter(), paying only for the copies.
+/// rt::kernels::RunPlan: the walk's raw runs go through
+/// rt::kernels::RunCoalescer, which fuses adjacent unit-stride runs into
+/// single memcpys, constant-delta run trains into block kernels and pure
+/// strided runs into the SIMD gather/scatter tiers (docs/PERFORMANCE.md,
+/// "Copy kernels"). A caller that ships the same pattern repeatedly (the mct
+/// Router and Rearranger reuse one schedule every timestep) compiles once
+/// and replays with plan.gather()/plan.scatter(), paying only for the
+/// copies.
 inline rt::kernels::RunPlan compile_run_plan(
     const std::vector<linear::ProvenancedSegment>& prov,
     const std::vector<linear::Segment>& segs) {
@@ -163,6 +130,25 @@ inline rt::kernels::RunPlan compile_run_plan(
       });
   co.flush();
   return plan;
+}
+
+/// Pack the elements of `segs` (ascending, each covered by the footprint in
+/// `prov`) from local storage into a linear-ordered buffer: a one-shot
+/// compile_run_plan replayed once.
+template <class T>
+void pack_segments(const std::vector<linear::ProvenancedSegment>& prov,
+                   const std::vector<linear::Segment>& segs, const T* local,
+                   T* buf) {
+  compile_run_plan(prov, segs).gather(local, buf, sizeof(T));
+}
+
+/// Mirror image of pack_segments: scatter a linear-ordered buffer back into
+/// local storage through the same compiled plan.
+template <class T>
+void unpack_segments(const std::vector<linear::ProvenancedSegment>& prov,
+                     const std::vector<linear::Segment>& segs, T* local,
+                     const T* buf) {
+  compile_run_plan(prov, segs).scatter(local, buf, sizeof(T));
 }
 
 /// Reference implementation of pack_segments: the plain scalar loops the
@@ -207,11 +193,12 @@ struct MovedCounts {
 };
 
 /// The one M×N send/drain engine: every loose transfer (typed region, typed
-/// segment, type-erased) runs through here. This process performs exactly
-/// its own sends and matched receives — independent asynchronous
-/// point-to-point transfers with no synchronization barrier on either side
-/// (the dataReady() model of the CCA M×N component, paper §4.1). Sends are
-/// eager, so issuing all sends before draining receives cannot deadlock.
+/// segment, type-erased, mct Router and Rearranger) runs through here. This
+/// process performs exactly its own sends and matched receives — independent
+/// asynchronous point-to-point transfers with no synchronization barrier on
+/// either side (the dataReady() model of the CCA M×N component, paper §4.1).
+/// Sends are eager, so issuing all sends before draining receives cannot
+/// deadlock.
 ///
 /// Zero-copy data plane (docs/PERFORMANCE.md): each send peer's payload of
 /// `elements * width` bytes is packed once by `pack(entry, out)`, straight

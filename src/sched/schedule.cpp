@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "rt/error.hpp"
 #include "trace/trace.hpp"
@@ -375,6 +376,39 @@ DeltaSchedule build_delta_schedule(const Descriptor& from,
   return d;
 }
 
+std::vector<PeerSegments> sweep_owners(
+    const std::vector<linear::Segment>& mine,
+    const std::vector<linear::OwnedSegment>& owned, int nowners) {
+  std::vector<std::vector<linear::Segment>> buckets(
+      static_cast<std::size_t>(nowners));
+  std::size_t i = 0, j = 0;
+  while (i < mine.size() && j < owned.size()) {
+    if (owned[j].owner < 0 || owned[j].owner >= nowners)
+      throw UsageError("ownership run names owner " +
+                       std::to_string(owned[j].owner) + " of a " +
+                       std::to_string(nowners) + "-rank cohort");
+    const Index lo = std::max(mine[i].lo, owned[j].seg.lo);
+    const Index hi = std::min(mine[i].hi, owned[j].seg.hi);
+    if (lo < hi)
+      buckets[static_cast<std::size_t>(owned[j].owner)].push_back({lo, hi});
+    if (mine[i].hi < owned[j].seg.hi)
+      ++i;
+    else
+      ++j;
+  }
+  std::vector<PeerSegments> out;
+  for (int r = 0; r < nowners; ++r) {
+    auto& segs = buckets[static_cast<std::size_t>(r)];
+    if (segs.empty()) continue;
+    PeerSegments ps;
+    ps.peer = r;
+    ps.elements = linear::total_length(segs);
+    ps.segs = std::move(segs);
+    out.push_back(std::move(ps));
+  }
+  return out;
+}
+
 SegmentSchedule build_segment_schedule(const Descriptor& src,
                                        const linear::Linearization& src_lin,
                                        const Descriptor& dst,
@@ -388,48 +422,16 @@ SegmentSchedule build_segment_schedule(const Descriptor& src,
   trace::Span span("sched.build_segments", "sched", 0, &build_ns);
   SegmentSchedule out;
 
-  // One sweep of my cached footprint against the other side's cached
-  // ownership map replaces the old per-peer footprint + intersect (which
-  // recomputed every peer's footprint on every call). The ownership runs of
-  // one owner are exactly that owner's normalized footprint, so the
-  // per-owner output segments are identical to the per-peer intersection.
-  const auto sweep = [](const std::vector<linear::Segment>& mine,
-                        const std::vector<linear::OwnedSegment>& owned,
-                        int nranks, std::vector<PeerSegments>& out_list) {
-    std::vector<std::vector<linear::Segment>> buckets(
-        static_cast<std::size_t>(nranks));
-    std::size_t i = 0, j = 0;
-    while (i < mine.size() && j < owned.size()) {
-      const Index lo = std::max(mine[i].lo, owned[j].seg.lo);
-      const Index hi = std::min(mine[i].hi, owned[j].seg.hi);
-      if (lo < hi) buckets[static_cast<std::size_t>(owned[j].owner)].push_back(
-          {lo, hi});
-      if (mine[i].hi < owned[j].seg.hi)
-        ++i;
-      else
-        ++j;
-    }
-    for (int r = 0; r < nranks; ++r) {
-      auto& segs = buckets[static_cast<std::size_t>(r)];
-      if (segs.empty()) continue;
-      PeerSegments ps;
-      ps.peer = r;
-      ps.elements = linear::total_length(segs);
-      ps.segs = std::move(segs);
-      out_list.push_back(std::move(ps));
-    }
-  };
-
   if (my_src_rank >= 0) {
     const auto mine = linear::footprint_cached(src, my_src_rank, src_lin);
     const auto owned = linear::ownership_map_cached(dst, dst_lin);
-    sweep(*mine, *owned, dst.nranks(), out.sends);
+    out.sends = sweep_owners(*mine, *owned, dst.nranks());
   }
 
   if (my_dst_rank >= 0) {
     const auto mine = linear::footprint_cached(dst, my_dst_rank, dst_lin);
     const auto owned = linear::ownership_map_cached(src, src_lin);
-    sweep(*mine, *owned, src.nranks(), out.recvs);
+    out.recvs = sweep_owners(*mine, *owned, src.nranks());
   }
 
   return out;

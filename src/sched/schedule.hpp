@@ -50,28 +50,34 @@ void unpack_regions(std::span<const Patch> regions, std::size_t width,
   }
 }
 
-/// One rank's local view of a region-based communication schedule computed
-/// by direct DAD x DAD patch intersection (paper §2.3). A rank can hold the
-/// source role, the destination role, or both (self-coupling, e.g. an
-/// in-place transpose over the same cohort).
-struct RegionSchedule {
-  std::vector<PeerRegions> sends;  // this rank as source; peer = dst rank
-  std::vector<PeerRegions> recvs;  // this rank as destination; peer = src rank
+/// One rank's local view of a communication schedule: the entries it sends
+/// as a source (peer = destination-cohort rank) and receives as a
+/// destination (peer = source-cohort rank). A rank can hold the source role,
+/// the destination role, or both (self-coupling, e.g. an in-place transpose
+/// over the same cohort). Region and segment schedules differ only in the
+/// entry type.
+template <class Entry>
+struct PeerSchedule {
+  std::vector<Entry> sends;
+  std::vector<Entry> recvs;
 
-  [[nodiscard]] Index send_elements() const {
-    Index t = 0;
-    for (const auto& p : sends) t += p.elements;
-    return t;
-  }
-  [[nodiscard]] Index recv_elements() const {
-    Index t = 0;
-    for (const auto& p : recvs) t += p.elements;
-    return t;
-  }
+  [[nodiscard]] Index send_elements() const { return elements_of(sends); }
+  [[nodiscard]] Index recv_elements() const { return elements_of(recvs); }
   [[nodiscard]] std::size_t message_count() const {
     return sends.size() + recvs.size();
   }
 
+ private:
+  static Index elements_of(const std::vector<Entry>& entries) {
+    Index t = 0;
+    for (const auto& e : entries) t += e.elements;
+    return t;
+  }
+};
+
+/// A region-based schedule computed by direct DAD x DAD patch intersection
+/// (paper §2.3).
+struct RegionSchedule : PeerSchedule<PeerRegions> {
   /// Approximate resident size, for cache byte budgets: the struct plus the
   /// capacity of every region vector (Patch is a flat POD).
   [[nodiscard]] std::size_t byte_size() const {
@@ -163,21 +169,18 @@ struct PeerSegments {
 /// destination sides may use different linearizations (e.g. row-major vs
 /// column-major: a transpose coupling); elements correspond through equal
 /// linear index.
-struct SegmentSchedule {
-  std::vector<PeerSegments> sends;
-  std::vector<PeerSegments> recvs;
+using SegmentSchedule = PeerSchedule<PeerSegments>;
 
-  [[nodiscard]] Index send_elements() const {
-    Index t = 0;
-    for (const auto& p : sends) t += p.elements;
-    return t;
-  }
-  [[nodiscard]] Index recv_elements() const {
-    Index t = 0;
-    for (const auto& p : recvs) t += p.elements;
-    return t;
-  }
-};
+/// The one owner sweep: walk the local footprint `mine` once against the
+/// other side's ascending ownership runs `owned` and bucket the overlaps by
+/// owner, in O(|mine| + |owned|). The runs of one owner are exactly that
+/// owner's normalized footprint, so each entry equals intersecting `mine`
+/// with that peer's footprint. Entries come out by ascending peer, empty
+/// ones omitted. A run naming an owner outside [0, nowners) is a
+/// UsageError, never a silent drop.
+std::vector<PeerSegments> sweep_owners(
+    const std::vector<linear::Segment>& mine,
+    const std::vector<linear::OwnedSegment>& owned, int nowners);
 
 SegmentSchedule build_segment_schedule(const Descriptor& src,
                                        const linear::Linearization& src_lin,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <numeric>
 
 #include "mct/accumulator.hpp"
@@ -75,6 +76,35 @@ TEST(GlobalSegMap, PackUnpackRoundTrip) {
   auto bytes = std::move(b).take();
   rt::UnpackBuffer u(bytes);
   EXPECT_TRUE(GlobalSegMap::unpack(u) == g);
+}
+
+TEST(GlobalSegMap, RankPastLastOwnerOwnsNothing) {
+  // block(2, 4) has only two non-empty blocks, so ranks 2 and 3 own nothing.
+  auto g = GlobalSegMap::block(2, 4);
+  EXPECT_EQ(g.nprocs(), 2);
+  EXPECT_TRUE(g.segs_of(3).empty());
+  EXPECT_TRUE(g.footprint(3).empty());
+  EXPECT_EQ(g.local_size(3), 0);
+  EXPECT_EQ(g.local_size(1), 1);
+  EXPECT_THROW((void)g.segs_of(-1), rt::UsageError);
+  EXPECT_THROW((void)g.local_size(-1), rt::UsageError);
+}
+
+TEST(GlobalSegMap, UnpackRejectsHostileSegmentCount) {
+  // A count larger than the payload can hold fails typed before anything is
+  // sized by it: 2^40 would throw bad_alloc, 2^24 would allocate ~400 MB.
+  for (const std::uint64_t n : {std::uint64_t{1} << 40,
+                                std::uint64_t{1} << 24, std::uint64_t{2}}) {
+    rt::PackBuffer b;
+    b.pack(Index{10});
+    b.pack(n);
+    b.pack(Index{0});  // one whole segment: {0, 10, owner 0}
+    b.pack(Index{10});
+    b.pack(0);
+    auto bytes = std::move(b).take();
+    rt::UnpackBuffer u(bytes);
+    EXPECT_THROW((void)GlobalSegMap::unpack(u), rt::UsageError) << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,6 +226,232 @@ TEST(Rearranger, IntraComponentRedistribution) {
       EXPECT_DOUBLE_EQ(dst.field(0)[l],
                        3.0 * cyc.global_index(world.rank(), l));
   });
+}
+
+namespace {
+
+/// Router binding for an m-rank source component on world ranks [0, m) and
+/// an n-rank destination component on [m, m + n).
+mct::RouterConfig split_config(rt::Communicator& world,
+                               rt::Communicator cohort, int m, int n,
+                               int tag) {
+  const bool is_src = world.rank() < m;
+  std::vector<int> a(static_cast<std::size_t>(m)),
+      b(static_cast<std::size_t>(n));
+  std::iota(a.begin(), a.end(), 0);
+  std::iota(b.begin(), b.end(), m);
+  mct::RouterConfig cfg;
+  cfg.channel = world;
+  cfg.cohort = std::move(cohort);
+  cfg.my_ranks = is_src ? a : b;
+  cfg.peer_ranks = is_src ? b : a;
+  cfg.tag = tag;
+  return cfg;
+}
+
+/// Fill every field f of `av` with value(f, global index) under `map`.
+template <class Value>
+void fill(AttrVect& av, const GlobalSegMap& map, int rank,
+          const Value& value) {
+  for (int f = 0; f < av.nfields(); ++f)
+    for (Index l = 0; l < av.length(); ++l)
+      av.field(f)[l] = value(f, map.global_index(rank, l));
+}
+
+/// Expect every field f of `av` to hold value(f, global index) exactly.
+template <class Value>
+void expect_exact(const AttrVect& av, const GlobalSegMap& map, int rank,
+                  const Value& value) {
+  for (int f = 0; f < av.nfields(); ++f)
+    for (Index l = 0; l < av.length(); ++l)
+      ASSERT_EQ(av.field(f)[l], value(f, map.global_index(rank, l)))
+          << "field " << f << " local " << l;
+}
+
+/// Run `xfer` between quiescent points of `gate` and return the messages the
+/// whole universe sent meanwhile. Call it only once every rank is past any
+/// step that can throw outside `xfer` (e.g. after a world.barrier()).
+template <class Xfer>
+std::uint64_t count_messages(rt::Communicator& world, std::barrier<>& gate,
+                             const Xfer& xfer) {
+  gate.arrive_and_wait();
+  const auto before = world.stats().messages;
+  gate.arrive_and_wait();
+  try {
+    xfer();
+  } catch (...) {
+    gate.arrive_and_drop();  // release the ranks waiting below
+    throw;
+  }
+  gate.arrive_and_wait();
+  return world.stats().messages - before;
+}
+
+}  // namespace
+
+TEST(Router, RankOwningNoPointsMovesNothing) {
+  // block(2, 3) over a 3-rank source cohort leaves rank 2 without points;
+  // the destination map swaps the two points between its ranks.
+  const int m = 3, n = 2;
+  auto src_map = GlobalSegMap::block(2, m);
+  GlobalSegMap dst_map(2, {{0, 1, 1}, {1, 1, 0}});
+  const auto value = [](int f, Index g) { return 10.0 * g + f + 1; };
+  std::barrier<> gate(m + n);
+  rt::spawn(m + n, [&](rt::Communicator& world) {
+    const bool is_src = world.rank() < m;
+    auto cohort = world.split(is_src ? 0 : 1, world.rank());
+    const int me = cohort.rank();
+    auto cfg = split_config(world, cohort, m, n, 40);
+    if (is_src) {
+      auto router = mct::Router::source(cfg, src_map);
+      AttrVect av({"u", "v"}, src_map.local_size(me));
+      fill(av, src_map, me, value);
+      if (me == 2) {
+        EXPECT_EQ(router.local_size(), 0);
+        EXPECT_EQ(router.peer_count(), 0u);
+      }
+      world.barrier();
+      // One payload per point; nothing from rank 2.
+      EXPECT_EQ(count_messages(world, gate, [&] { router.send(av); }), 2u);
+    } else {
+      auto router = mct::Router::destination(cfg, dst_map);
+      AttrVect av({"u", "v"}, dst_map.local_size(me));
+      world.barrier();
+      EXPECT_EQ(count_messages(world, gate, [&] { router.recv(av); }), 2u);
+      expect_exact(av, dst_map, me, value);
+    }
+  });
+}
+
+TEST(Rearranger, RankOwningNoPointsMovesNothing) {
+  // Rank 2 owns nothing under either map; ranks 0 and 1 swap their points.
+  auto src_map = GlobalSegMap::block(2, 3);
+  GlobalSegMap dst_map(2, {{0, 1, 1}, {1, 1, 0}});
+  const auto value = [](int f, Index g) { return 3.0 * g - f; };
+  std::barrier<> gate(3);
+  rt::spawn(3, [&](rt::Communicator& world) {
+    const int me = world.rank();
+    mct::Rearranger rearr(world, src_map, dst_map, 41);
+    AttrVect src({"q", "r"}, src_map.local_size(me));
+    AttrVect dst({"q", "r"}, dst_map.local_size(me));
+    fill(src, src_map, me, value);
+    world.barrier();
+    EXPECT_EQ(
+        count_messages(world, gate, [&] { rearr.rearrange(src, dst); }), 2u);
+    expect_exact(dst, dst_map, me, value);
+  });
+}
+
+TEST(Router, RejectsMapNamingOwnersThePeerLacks) {
+  // A 2-rank destination component whose map names owners 0-3: half the
+  // points have no receiver, so both sides refuse before any data moves.
+  const int m = 2, n = 2;
+  auto src_map = GlobalSegMap::block(8, m);
+  auto dst_map = GlobalSegMap::block(8, 4);
+  rt::spawn(m + n, [&](rt::Communicator& world) {
+    const bool is_src = world.rank() < m;
+    auto cohort = world.split(is_src ? 0 : 1, world.rank());
+    auto cfg = split_config(world, cohort, m, n, 50);
+    if (is_src)
+      EXPECT_THROW((void)mct::Router::source(cfg, src_map), rt::UsageError);
+    else
+      EXPECT_THROW((void)mct::Router::destination(cfg, dst_map),
+                   rt::UsageError);
+  });
+}
+
+TEST(Rearranger, RejectsMapNamingOwnersTheCohortLacks) {
+  rt::spawn(2, [&](rt::Communicator& world) {
+    auto two = GlobalSegMap::block(8, 2);
+    auto four = GlobalSegMap::block(8, 4);
+    EXPECT_THROW(mct::Rearranger(world, four, two, 51), rt::UsageError);
+    EXPECT_THROW(mct::Rearranger(world, two, four, 51), rt::UsageError);
+  });
+}
+
+TEST(Router, FieldCountMismatchIsATypedError) {
+  const int m = 2, n = 2;
+  auto src_map = GlobalSegMap::block(8, m);
+  auto dst_map = GlobalSegMap::cyclic(8, n);
+  rt::spawn(m + n, [&](rt::Communicator& world) {
+    const bool is_src = world.rank() < m;
+    auto cohort = world.split(is_src ? 0 : 1, world.rank());
+    auto cfg = split_config(world, cohort, m, n, 52);
+    if (is_src) {
+      auto router = mct::Router::source(cfg, src_map);
+      router.send(AttrVect({"u", "v"}, src_map.local_size(cohort.rank())));
+    } else {
+      auto router = mct::Router::destination(cfg, dst_map);
+      AttrVect av({"u"}, dst_map.local_size(cohort.rank()));
+      EXPECT_THROW(router.recv(av), rt::UsageError);
+    }
+  });
+}
+
+TEST(Router, ExactUnderSeededDelayChaos) {
+  // Delay-only chaos scoped to the data tag (the GSMap swap is spared):
+  // senders sleep before some deliveries, so payloads land out of schedule
+  // order while per-source FIFO holds — all MCT relies on, since it frames
+  // no serial. The source queues every step before the destination drains.
+  const int m = 3, n = 2, steps = 6, tag = 60;
+  auto src_map = GlobalSegMap::block(96, m);
+  auto dst_map = GlobalSegMap::cyclic(96, n, 5);
+  rt::SpawnOptions opts;
+  opts.deadlock_timeout_ms = 20000;
+  opts.faults = rt::FaultPlan{
+      .seed = 41, .delay = 0.5, .delay_ms = 3, .min_tag = tag + 1};
+  rt::spawn(m + n, [&](rt::Communicator& world) {
+    const bool is_src = world.rank() < m;
+    auto cohort = world.split(is_src ? 0 : 1, world.rank());
+    const int me = cohort.rank();
+    auto cfg = split_config(world, cohort, m, n, tag);
+    if (is_src) {
+      auto router = mct::Router::source(cfg, src_map);
+      AttrVect av({"u", "v", "w"}, src_map.local_size(me));
+      for (int step = 0; step < steps; ++step) {
+        fill(av, src_map, me,
+             [&](int f, Index g) { return 1000.0 * step + 100.0 * f + g; });
+        router.send(av);
+      }
+      world.barrier();
+    } else {
+      auto router = mct::Router::destination(cfg, dst_map);
+      AttrVect av({"u", "v", "w"}, dst_map.local_size(me));
+      world.barrier();
+      for (int step = 0; step < steps; ++step) {
+        router.recv(av);
+        expect_exact(av, dst_map, me, [&](int f, Index g) {
+          return 1000.0 * step + 100.0 * f + g;
+        });
+      }
+    }
+  }, opts);
+}
+
+TEST(Rearranger, ExactUnderSeededDelayChaos) {
+  // Every rank has several peers (block -> cyclic chunks of 3) and steps
+  // run back to back on one tag under delay-only chaos.
+  const int procs = 4, steps = 6, tag = 70;
+  auto block = GlobalSegMap::block(60, procs);
+  auto cyc = GlobalSegMap::cyclic(60, procs, 3);
+  rt::SpawnOptions opts;
+  opts.deadlock_timeout_ms = 20000;
+  opts.faults = rt::FaultPlan{
+      .seed = 43, .delay = 0.5, .delay_ms = 3, .min_tag = tag};
+  rt::spawn(procs, [&](rt::Communicator& world) {
+    const int me = world.rank();
+    mct::Rearranger rearr(world, block, cyc, tag);
+    AttrVect src({"q", "r"}, block.local_size(me));
+    AttrVect dst({"q", "r"}, cyc.local_size(me));
+    for (int step = 0; step < steps; ++step) {
+      const auto value = [&](int f, Index g) {
+        return 1000.0 * step + 100.0 * f + g;
+      };
+      fill(src, block, me, value);
+      rearr.rearrange(src, dst);
+      expect_exact(dst, cyc, me, value);
+    }
+  }, opts);
 }
 
 // ---------------------------------------------------------------------------
