@@ -6,7 +6,10 @@
 //  (c) Rearranger (intra-component redistribution) vs Router round trip.
 // Every Router, Rearranger and matvec result is checked against the serial
 // answer; a mismatch prints FAILED and exits non-zero. The Router and
-// Rearranger rows also count the messages and bytes of one transfer.
+// Rearranger rows also count the messages and bytes of one transfer. Every
+// row times single transfers (each closed by a thread barrier across all
+// ranks) after warm-up reps and reports their median and quartiles; the
+// rows are also written to BENCH_mct.json.
 
 #include <barrier>
 #include <numeric>
@@ -46,9 +49,28 @@ void check_exact(const AttrVect& av, const GlobalSegMap& map, int rank,
             std::string(what) + " result differs from the serial answer");
 }
 
+/// Warm-up and timed transfers per row.
+constexpr int kWarmup = 3;
+constexpr int kReps = 31;
+
+/// Time one transfer per rep on every rank, each rep closed by `gate` so
+/// rank 0's rep time covers the whole transfer on all ranks.
+template <class Xfer>
+bench::Quartiles time_xfer(std::barrier<>& gate, const Xfer& xfer) {
+  return bench::time_quartiles(kWarmup, kReps, {[&] {
+                                 try {
+                                   xfer();
+                                 } catch (...) {
+                                   gate.arrive_and_drop();  // see count_one
+                                   throw;
+                                 }
+                                 gate.arrive_and_wait();
+                               }})[0];
+}
+
 /// Wall time per transfer plus the traffic of one counted transfer.
 struct XferCost {
-  double seconds = 0;
+  bench::Quartiles t;
   std::uint64_t msgs = 0;
   std::uint64_t bytes = 0;
 };
@@ -75,8 +97,7 @@ void count_one(rt::Communicator& world, std::barrier<>& gate, XferCost& out,
   }
 }
 
-XferCost router_throughput(int m, int n, Index gsize, int nfields,
-                           int iters) {
+XferCost router_throughput(int m, int n, Index gsize, int nfields) {
   auto src_map = GlobalSegMap::block(gsize, m);
   auto dst_map = GlobalSegMap::cyclic(gsize, n, 16);
   XferCost out;
@@ -100,20 +121,13 @@ XferCost router_throughput(int m, int n, Index gsize, int nfields,
       auto router = mct::Router::source(cfg, src_map);
       AttrVect av(fields, src_map.local_size(cohort.rank()));
       fill(av, src_map, cohort.rank());
-      for (int i = 0; i < 3; ++i) router.send(av);
-      world.barrier();
-      const double t0 = bench::now_s();
-      for (int i = 0; i < iters; ++i) router.send(av);
-      world.barrier();
-      if (world.rank() == 0) out.seconds = (bench::now_s() - t0) / iters;
+      const auto t = time_xfer(gate, [&] { router.send(av); });
+      if (world.rank() == 0) out.t = t;
       count_one(world, gate, out, [&] { router.send(av); });
     } else {
       auto router = mct::Router::destination(cfg, dst_map);
       AttrVect av(fields, dst_map.local_size(cohort.rank()));
-      for (int i = 0; i < 3; ++i) router.recv(av);
-      world.barrier();
-      for (int i = 0; i < iters; ++i) router.recv(av);
-      world.barrier();
+      (void)time_xfer(gate, [&] { router.recv(av); });
       av.zero();
       count_one(world, gate, out, [&] { router.recv(av); });
       check_exact(av, dst_map, cohort.rank(), "Router");
@@ -123,7 +137,7 @@ XferCost router_throughput(int m, int n, Index gsize, int nfields,
 }
 
 struct MatvecCost {
-  double seconds = 0;
+  bench::Quartiles t;
   std::size_t halo = 0;
 };
 
@@ -131,10 +145,11 @@ struct MatvecCost {
 /// matrix whose second column is `offset` away, so the halo fraction grows
 /// with offset while the flop count stays constant — isolating the
 /// communication share of the matvec.
-MatvecCost matvec_cost(Index n, Index offset, int iters) {
+MatvecCost matvec_cost(Index n, Index offset) {
   const int procs = 4;
   auto map = GlobalSegMap::block(n, procs);
   MatvecCost out;
+  std::barrier<> gate(procs);
   rt::spawn(procs, [&](rt::Communicator& world) {
     const int me = world.rank();
     std::vector<mct::SparseMatrix::Element> es;
@@ -149,13 +164,9 @@ MatvecCost matvec_cost(Index n, Index offset, int iters) {
     for (Index l = 0; l < x.length(); ++l)
       x.field(0)[l] = double(map.global_index(me, l));
     AttrVect y({"t", "q"}, map.local_size(me));
-    for (int i = 0; i < 3; ++i) A.matvec(x, y);
-    world.barrier();
-    const double t0 = bench::now_s();
-    for (int i = 0; i < iters; ++i) A.matvec(x, y);
-    world.barrier();
+    const auto t = time_xfer(gate, [&] { A.matvec(x, y); });
     if (me == 0) {
-      out.seconds = (bench::now_s() - t0) / iters;
+      out.t = t;
       out.halo = A.halo_size();
     }
     for (Index l = 0; l < y.length(); ++l) {
@@ -167,7 +178,7 @@ MatvecCost matvec_cost(Index n, Index offset, int iters) {
   return out;
 }
 
-XferCost rearrange_cost(Index gsize, int iters) {
+XferCost rearrange_cost(Index gsize) {
   const int procs = 4;
   auto block = GlobalSegMap::block(gsize, procs);
   auto cyc = GlobalSegMap::cyclic(gsize, procs, 32);
@@ -179,17 +190,18 @@ XferCost rearrange_cost(Index gsize, int iters) {
     AttrVect src({"f"}, block.local_size(me));
     AttrVect dst({"f"}, cyc.local_size(me));
     fill(src, block, me);
-    for (int i = 0; i < 3; ++i) rearr.rearrange(src, dst);
-    world.barrier();
-    const double t0 = bench::now_s();
-    for (int i = 0; i < iters; ++i) rearr.rearrange(src, dst);
-    world.barrier();
-    if (me == 0) out.seconds = (bench::now_s() - t0) / iters;
+    const auto t = time_xfer(gate, [&] { rearr.rearrange(src, dst); });
+    if (me == 0) out.t = t;
     dst.zero();
     count_one(world, gate, out, [&] { rearr.rearrange(src, dst); });
     check_exact(dst, cyc, me, "Rearranger");
   });
   return out;
+}
+
+/// Median and quartile cells of a timed row, in microseconds.
+std::vector<std::string> time_cells(const bench::Quartiles& t) {
+  return {bench::fmt_us(t.median), bench::fmt_us(t.q1), bench::fmt_us(t.q3)};
 }
 
 /// Messages per transfer and mean payload bytes per message.
@@ -198,48 +210,88 @@ std::vector<std::string> traffic_cells(const XferCost& c) {
           bench::fmt("%.1f", c.msgs ? double(c.bytes) / double(c.msgs) : 0)};
 }
 
+/// JSON fields of a timed row: median and quartiles in microseconds.
+std::string time_json(const bench::Quartiles& t) {
+  return bench::fmt("\"us\": %.1f, ", t.median * 1e6) +
+         bench::fmt("\"q1_us\": %.1f, ", t.q1 * 1e6) +
+         bench::fmt("\"q3_us\": %.1f", t.q3 * 1e6);
+}
+
 int run() {
+  std::vector<std::string> json;
   std::printf("=== MCT Router: intermodule AttrVect transfer ===\n");
-  bench::Table t({"M", "N", "points", "fields", "per_xfer_us", "MB/s",
-                  "msgs/xfer", "bytes/msg"});
+  bench::Table t({"M", "N", "points", "fields", "per_xfer_us", "q1_us",
+                  "q3_us", "MB/s", "msgs/xfer", "bytes/msg"});
   for (Index g : {4096, 65536}) {
     for (int nf : {1, 4}) {
-      const XferCost c = router_throughput(3, 2, g, nf, 15);
-      std::vector<std::string> row = {
-          "3", "2", std::to_string(g), std::to_string(nf),
-          bench::fmt_us(c.seconds),
-          bench::fmt_mbs(double(g) * nf * sizeof(double), c.seconds)};
+      const XferCost c = router_throughput(3, 2, g, nf);
+      std::vector<std::string> row = {"3", "2", std::to_string(g),
+                                      std::to_string(nf)};
+      for (auto& cell : time_cells(c.t)) row.push_back(std::move(cell));
+      row.push_back(
+          bench::fmt_mbs(double(g) * nf * sizeof(double), c.t.median));
       for (auto& cell : traffic_cells(c)) row.push_back(std::move(cell));
       t.row(std::move(row));
+      json.push_back("{\"table\": \"router\", \"points\": " +
+                     std::to_string(g) + ", \"fields\": " +
+                     std::to_string(nf) + ", " + time_json(c.t) +
+                     ", \"msgs\": " + std::to_string(c.msgs) +
+                     ", \"bytes\": " + std::to_string(c.bytes) + "}");
     }
   }
   t.print();
 
   std::printf("\n=== Interpolation as distributed sparse matvec: cost vs "
               "halo (constant 2 nnz/row) ===\n");
-  bench::Table t2({"points", "col_offset", "halo_points", "per_mv_us"});
+  bench::Table t2({"points", "col_offset", "halo_points", "per_mv_us",
+                   "q1_us", "q3_us"});
   for (Index offset : {0, 2, 512, 4096, 8192}) {
-    auto c = matvec_cost(16384, offset, 10);
-    t2.row({"16384", std::to_string(offset), std::to_string(c.halo),
-            bench::fmt_us(c.seconds)});
+    const auto c = matvec_cost(16384, offset);
+    std::vector<std::string> row = {"16384", std::to_string(offset),
+                                    std::to_string(c.halo)};
+    for (auto& cell : time_cells(c.t)) row.push_back(std::move(cell));
+    t2.row(std::move(row));
+    json.push_back("{\"table\": \"matvec\", \"points\": 16384, "
+                   "\"col_offset\": " + std::to_string(offset) +
+                   ", \"halo\": " + std::to_string(c.halo) + ", " +
+                   time_json(c.t) + "}");
   }
   t2.print();
 
   std::printf("\n=== Rearranger: intra-component redistribution ===\n");
-  bench::Table t3({"points", "per_rearrange_us", "msgs/xfer", "bytes/msg"});
+  bench::Table t3({"points", "per_rearrange_us", "q1_us", "q3_us",
+                   "msgs/xfer", "bytes/msg"});
   for (Index g : {4096, 65536, 262144}) {
-    const XferCost c = rearrange_cost(g, 10);
-    std::vector<std::string> row = {std::to_string(g),
-                                    bench::fmt_us(c.seconds)};
+    const XferCost c = rearrange_cost(g);
+    std::vector<std::string> row = {std::to_string(g)};
+    for (auto& cell : time_cells(c.t)) row.push_back(std::move(cell));
     for (auto& cell : traffic_cells(c)) row.push_back(std::move(cell));
     t3.row(std::move(row));
+    json.push_back("{\"table\": \"rearranger\", \"points\": " +
+                   std::to_string(g) + ", " + time_json(c.t) +
+                   ", \"msgs\": " + std::to_string(c.msgs) +
+                   ", \"bytes\": " + std::to_string(c.bytes) + "}");
   }
   t3.print();
   std::printf("\nShape check: multi-field transfers amortize per-message "
               "overhead; with flops held constant, matvec cost tracks the "
               "halo volume the column offset drags across partition "
               "boundaries; the Rearranger scales with bytes crossing "
-              "owners.\n");
+              "owners. Times are the median and quartiles of %d single "
+              "transfers after %d warm-up transfers.\n",
+              kReps, kWarmup);
+
+  std::FILE* f = std::fopen("BENCH_mct.json", "w");
+  if (f == nullptr) throw std::runtime_error("cannot write BENCH_mct.json");
+  std::fprintf(f, "{\n  \"bench\": \"mct\",\n  \"warmup\": %d,\n"
+                  "  \"reps\": %d,\n  \"rows\": [\n",
+               kWarmup, kReps);
+  for (std::size_t i = 0; i < json.size(); ++i)
+    std::fprintf(f, "    %s%s\n", json[i].c_str(),
+                 i + 1 < json.size() ? "," : "");
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("wrote BENCH_mct.json\n");
   return 0;
 }
 

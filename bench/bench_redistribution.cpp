@@ -151,15 +151,30 @@ Result run_case(int m, int n, Index extent, bool legacy, int reps) {
 /// executor. The kernel arm measures steady state — the plan is compiled
 /// once (sched::compile_run_plan) and replayed per rep, exactly what the
 /// mct Router/Rearranger do with their fixed schedules — while the scalar
-/// arm pays the pre-PR per-transfer segment walk. Deterministic enough to
-/// gate in CI: the kernel path must never be slower than the scalar
-/// reference.
+/// arm pays the pre-PR per-transfer segment walk. Both arms run through
+/// bench::time_quartiles, alternating pass by pass, and report the median
+/// and quartiles of their per-pass throughput. Deterministic enough to gate
+/// in CI: the kernel path must never be slower than the scalar reference.
 struct KernelCase {
   const char* name;
-  double scalar_melem_s = 0;
-  double kernel_melem_s = 0;
+  bench::Quartiles scalar;  // Melem/s; q1 is the slower quartile
+  bench::Quartiles kernel;
   double speedup = 0;
 };
+
+/// Turn per-pass times of `elems` elements into Melem/s quartiles.
+bench::Quartiles melem_s(double elems, const bench::Quartiles& t) {
+  return {elems / t.q3 / 1e6, elems / t.median / 1e6, elems / t.q1 / 1e6};
+}
+
+KernelCase kernel_case(const char* name, double elems,
+                       const std::function<void()>& scalar_arm,
+                       const std::function<void()>& kernel_arm, int reps) {
+  const auto t = bench::time_quartiles(5, reps, {scalar_arm, kernel_arm});
+  KernelCase kc{name, melem_s(elems, t[0]), melem_s(elems, t[1])};
+  kc.speedup = kc.kernel.median / kc.scalar.median;
+  return kc;
+}
 
 KernelCase run_kernel_case(const char* name, Index block_len,
                            Index block_stride, bool owner_side = false) {
@@ -206,35 +221,28 @@ KernelCase run_kernel_case(const char* name, Index block_len,
     storage[i] = double(i) * 0.5;
   std::vector<double> buf(static_cast<std::size_t>(elems));
 
-  // Enough reps that each arm runs for tens of milliseconds (the per-rep
-  // work at cache-resident sizes is well under a millisecond).
-  const int reps = static_cast<int>(std::max<Index>(24, 20'000'000 / elems));
-  KernelCase kc;
-  kc.name = name;
+  // Enough passes that each arm runs for milliseconds (one pass at
+  // cache-resident sizes is a few microseconds).
+  const int reps = static_cast<int>(std::max<Index>(101, 4'000'000 / elems));
   const bool unpacking = name[0] == 'u';
   const mxn::rt::kernels::RunPlan plan = sched::compile_run_plan(prov, segs);
-  // Warm both paths once (page in the arrays), then time.
-  sched::pack_segments_scalar<double>(prov, segs, storage.data(), buf.data());
-  double t0 = bench::now_s();
-  for (int r = 0; r < reps; ++r) {
-    if (unpacking)
-      sched::unpack_segments_scalar<double>(prov, segs, storage.data(),
-                                            buf.data());
-    else
-      sched::pack_segments_scalar<double>(prov, segs, storage.data(),
-                                          buf.data());
-  }
-  kc.scalar_melem_s = double(elems) * reps / (bench::now_s() - t0) / 1e6;
-  t0 = bench::now_s();
-  for (int r = 0; r < reps; ++r) {
-    if (unpacking)
-      plan.scatter(storage.data(), buf.data(), sizeof(double));
-    else
-      plan.gather(storage.data(), buf.data(), sizeof(double));
-  }
-  kc.kernel_melem_s = double(elems) * reps / (bench::now_s() - t0) / 1e6;
-  kc.speedup = kc.kernel_melem_s / kc.scalar_melem_s;
-  return kc;
+  return kernel_case(
+      name, double(elems),
+      [&] {
+        if (unpacking)
+          sched::unpack_segments_scalar<double>(prov, segs, storage.data(),
+                                                buf.data());
+        else
+          sched::pack_segments_scalar<double>(prov, segs, storage.data(),
+                                              buf.data());
+      },
+      [&] {
+        if (unpacking)
+          plan.scatter(storage.data(), buf.data(), sizeof(double));
+        else
+          plan.gather(storage.data(), buf.data(), sizeof(double));
+      },
+      reps);
 }
 
 /// bulk_stream's source side as a region copy: a 256x512-double row block
@@ -278,30 +286,8 @@ KernelCase run_region_case(const char* name, bool unpacking) {
       b += r.volume();
     }
   };
-  // The arms alternate rep by rep and each keeps its median rep, so a burst
-  // of host contention lands on both arms alike instead of on one of them.
-  std::vector<double> row_s, train_s;
-  auto timed = [](auto&& fn, std::vector<double>& out) {
-    const double t0 = bench::now_s();
-    fn();
-    out.push_back(bench::now_s() - t0);
-  };
-  auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  per_row();  // page in both arrays
-  for (int r = 0; r < 150; ++r) {
-    timed(per_row, row_s);
-    timed(trains, train_s);
-  }
-  const auto elems = static_cast<double>(storage.size());
-  KernelCase kc;
-  kc.name = name;
-  kc.scalar_melem_s = elems / median(row_s) / 1e6;
-  kc.kernel_melem_s = elems / median(train_s) / 1e6;
-  kc.speedup = kc.kernel_melem_s / kc.scalar_melem_s;
-  return kc;
+  return kernel_case(name, static_cast<double>(storage.size()), per_row,
+                     trains, 151);
 }
 
 }  // namespace
@@ -350,14 +336,18 @@ int main() {
       run_region_case("extract_rowblock_to_cols8", /*unpacking=*/false),
       run_region_case("inject_rowblock_to_cols8", /*unpacking=*/true),
   };
-  bench::Table kt({"pattern", "scalar_Melem/s", "kernel_Melem/s", "speedup"});
+  bench::Table kt({"pattern", "scalar_Melem/s", "kernel_Melem/s",
+                   "kernel_q1", "kernel_q3", "speedup"});
   for (const auto& kc : kcases)
-    kt.row({kc.name, bench::fmt("%.1f", kc.scalar_melem_s),
-            bench::fmt("%.1f", kc.kernel_melem_s),
+    kt.row({kc.name, bench::fmt("%.1f", kc.scalar.median),
+            bench::fmt("%.1f", kc.kernel.median),
+            bench::fmt("%.1f", kc.kernel.q1), bench::fmt("%.1f", kc.kernel.q3),
             bench::fmt("%.2fx", kc.speedup)});
   kt.print();
-  std::printf("\nCI gates on speedup >= 1.0 for every pattern (the kernels "
-              "must never lose to the scalar loops) and on the dispatch "
+  std::printf("\nMedian and quartiles (q1 slower, q3 faster) of per-pass "
+              "throughput; speedup is the ratio of medians. CI gates on "
+              "speedup >= 1.0 for every pattern (the kernels must never lose "
+              "to the scalar loops) and on the memcpy and block-train "
               "counters being exercised.\n");
 
   std::FILE* f = std::fopen("BENCH_redistribution.json", "w");
@@ -391,20 +381,21 @@ int main() {
     const auto& kc = kcases[i];
     std::fprintf(f,
                  "      {\"pattern\": \"%s\", \"scalar_melem_s\": %.1f, "
-                 "\"kernel_melem_s\": %.1f, \"speedup\": %.3f}%s\n",
-                 kc.name, kc.scalar_melem_s, kc.kernel_melem_s, kc.speedup,
+                 "\"scalar_q1\": %.1f, \"scalar_q3\": %.1f, "
+                 "\"kernel_melem_s\": %.1f, \"kernel_q1\": %.1f, "
+                 "\"kernel_q3\": %.1f, \"speedup\": %.3f}%s\n",
+                 kc.name, kc.scalar.median, kc.scalar.q1, kc.scalar.q3,
+                 kc.kernel.median, kc.kernel.q1, kc.kernel.q3, kc.speedup,
                  i + 1 < kcases.size() ? "," : "");
   }
   std::fprintf(
       f,
       "    ],\n    \"counters\": {\"memcpy_bytes\": %llu, "
-      "\"simd_bytes\": %llu, \"scalar_bytes\": %llu}\n  }\n",
+      "\"simd_bytes\": %llu}\n  }\n",
       static_cast<unsigned long long>(
           trace::counter("sched.kernel.memcpy_bytes").value()),
       static_cast<unsigned long long>(
-          trace::counter("sched.kernel.simd_bytes").value()),
-      static_cast<unsigned long long>(
-          trace::counter("sched.kernel.scalar_bytes").value()));
+          trace::counter("sched.kernel.simd_bytes").value()));
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_redistribution.json\n");

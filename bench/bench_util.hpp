@@ -6,6 +6,7 @@
 // machine, but the shapes (who wins, by what factor, where crossovers fall)
 // are the reproduction targets — see EXPERIMENTS.md.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -20,17 +21,41 @@ inline double now_s() {
       .count();
 }
 
+/// Median and quartiles of per-rep wall times, in seconds.
+struct Quartiles {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+/// The one timing helper: run every arm `warmup` times untimed, then
+/// `reps` timed times, alternating the arms rep by rep so a burst of host
+/// contention lands on all of them alike. Each arm reports the median and
+/// quartiles of its own rep times.
+inline std::vector<Quartiles> time_quartiles(
+    int warmup, int reps, const std::vector<std::function<void()>>& arms) {
+  for (int i = 0; i < warmup; ++i)
+    for (const auto& fn : arms) fn();
+  std::vector<std::vector<double>> ts(arms.size());
+  for (auto& t : ts) t.reserve(static_cast<std::size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      const double t0 = now_s();
+      arms[a]();
+      ts[a].push_back(now_s() - t0);
+    }
+  }
+  std::vector<Quartiles> out;
+  for (auto& t : ts) {
+    std::sort(t.begin(), t.end());
+    out.push_back({t[t.size() / 4], t[t.size() / 2], t[t.size() * 3 / 4]});
+  }
+  return out;
+}
+
 /// Median wall time of `reps` runs of `fn`, in seconds.
 inline double time_median(int reps, const std::function<void()>& fn) {
-  std::vector<double> ts;
-  ts.reserve(reps);
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_s();
-    fn();
-    ts.push_back(now_s() - t0);
-  }
-  std::sort(ts.begin(), ts.end());
-  return ts[ts.size() / 2];
+  return time_quartiles(0, reps, {fn})[0].median;
 }
 
 /// Fixed-width table printer.

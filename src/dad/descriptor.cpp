@@ -295,11 +295,24 @@ void Descriptor::pack(rt::PackBuffer& b) const {
 Descriptor Descriptor::unpack(rt::UnpackBuffer& u) {
   const bool ex = u.unpack<bool>();
   const int ndim = u.unpack<int>();
+  if (ndim < 0 || ndim > kMaxNdim)
+    throw UsageError("Descriptor: ndim out of range");
   Point extents{};
   for (int a = 0; a < ndim; ++a) extents[a] = u.unpack<Index>();
   const int nranks = u.unpack<int>();
-  if (ex) {
+  // Compare wire counts against the bytes that remain, as counts, so a
+  // hostile header can neither wrap nor size an allocation. A packed patch
+  // is its ndim, lo/hi per axis and an owner; a packed axis is at least its
+  // kind, extent, nprocs, block and two empty vectors.
+  const auto count = [&u](std::size_t min_bytes) {
     const auto n = u.unpack<std::uint64_t>();
+    if (n > u.remaining() / min_bytes)
+      throw UsageError("Descriptor: count exceeds the payload");
+    return n;
+  };
+  if (ex) {
+    const auto n = count(2 * sizeof(int) +
+                         2 * sizeof(Index) * static_cast<std::size_t>(ndim));
     std::vector<OwnedPatch> patches;
     patches.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -314,7 +327,8 @@ Descriptor Descriptor::unpack(rt::UnpackBuffer& u) {
     if (d.version_ != 0) d.rehash();
     return d;
   }
-  const auto n = u.unpack<std::uint64_t>();
+  const auto n = count(1 + sizeof(int) + 2 * sizeof(Index) +
+                       2 * sizeof(std::uint64_t));
   std::vector<AxisDist> axes;
   axes.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) axes.push_back(AxisDist::unpack(u));

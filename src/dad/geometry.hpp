@@ -142,6 +142,8 @@ struct Patch {
   static Patch unpack(rt::UnpackBuffer& u) {
     Patch p;
     p.ndim = u.unpack<int>();
+    if (p.ndim < 0 || p.ndim > kMaxNdim)
+      throw rt::UsageError("Patch: ndim out of range");
     for (int a = 0; a < p.ndim; ++a) {
       p.lo[a] = u.unpack<Index>();
       p.hi[a] = u.unpack<Index>();

@@ -67,10 +67,10 @@ void detail::FieldTransfer::run(const AttrVect* src, AttrVect* dst) const {
       [&](const sched::PeerSegments& pe, std::span<const std::byte> in) {
         const auto& plan = recv_plans[static_cast<std::size_t>(
             &pe - sched.recvs.data())];
-        std::vector<double> fallback;
-        const double* data = sched::detail::aligned_or_copy(in, fallback);
+        const auto field_bytes =
+            static_cast<std::size_t>(pe.elements) * sizeof(double);
         for (int f = 0; f < nf; ++f)
-          plan.scatter(dst->field(f).data(), data + f * pe.elements,
+          plan.scatter(dst->field(f).data(), in.data() + f * field_bytes,
                        sizeof(double));
       });
 }

@@ -21,11 +21,9 @@ namespace mxn::rt {
 void note_bytes_copied(std::size_t n);
 
 /// Alignment of every pool-served payload block. 64 bytes covers a cache
-/// line and the widest vector width the copy kernels dispatch to, so a
-/// pooled payload can always be aliased as any fundamental T and entered
-/// into the SIMD pack/unpack kernels without the misalignment fallback
-/// (sched.align.fallback counts when that guarantee is missed — adopted
-/// vectors and serial-framed sub-spans are the only legitimate sources).
+/// line, so a pooled payload can always be aliased as any fundamental T
+/// (view<T>). The copy kernels work on bytes and need no alignment: adopted
+/// vectors and serial-framed sub-spans enter them as they are.
 inline constexpr std::size_t kBufferAlign = 64;
 
 namespace detail {

@@ -1,18 +1,8 @@
 #include "rt/kernels.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "trace/trace.hpp"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define MXN_KERNELS_X86 1
-#include <immintrin.h>
-#else
-#define MXN_KERNELS_X86 0
-#endif
 
 namespace mxn::rt::kernels {
 
@@ -24,181 +14,18 @@ namespace {
 struct Counters {
   trace::Counter& memcpy_bytes;
   trace::Counter& simd_bytes;
-  trace::Counter& scalar_bytes;
 };
 
 Counters& ctr() {
   static Counters c{trace::counter("sched.kernel.memcpy_bytes"),
-                    trace::counter("sched.kernel.simd_bytes"),
-                    trace::counter("sched.kernel.scalar_bytes")};
+                    trace::counter("sched.kernel.simd_bytes")};
   return c;
 }
 
-Isa detect_isa() {
-#if MXN_KERNELS_X86
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("avx2")) return Isa::Avx2;
-#endif
-  return Isa::Sse2;  // baseline of every x86-64
-#else
-  return Isa::Scalar;
-#endif
-}
-
-Isa best_isa() {
-  static const Isa best = detect_isa();
-  return best;
-}
-
-Isa clamp_isa(Isa want) {
-  const Isa best = best_isa();
-  return static_cast<int>(want) <= static_cast<int>(best) ? want : best;
-}
-
-Isa initial_isa() {
-  if (const char* env = std::getenv("MXN_SIMD")) {
-    const std::string v(env);
-    if (v == "scalar") return Isa::Scalar;
-    if (v == "sse2") return clamp_isa(Isa::Sse2);
-    if (v == "avx2") return clamp_isa(Isa::Avx2);
-  }
-  return best_isa();
-}
-
-std::atomic<Isa>& isa_slot() {
-  static std::atomic<Isa> isa{initial_isa()};
-  return isa;
-}
-
-// --- strided gather/scatter, width 8 ---------------------------------------
-
-void gather8_scalar(const std::uint64_t* s, std::uint64_t* d, std::int64_t n,
-                    std::int64_t st) {
-  for (std::int64_t i = 0; i < n; ++i) d[i] = s[i * st];
-}
-
-void scatter8_scalar(std::uint64_t* s, const std::uint64_t* d, std::int64_t n,
-                     std::int64_t st) {
-  for (std::int64_t i = 0; i < n; ++i) s[i * st] = d[i];
-}
-
-#if MXN_KERNELS_X86
-
-// SSE2 tier: 4x unrolled with paired 128-bit stores. x86 has no gather
-// instruction below AVX2; the win over -O2 scalar is the unrolled address
-// arithmetic and wide stores.
-void gather8_sse2(const std::uint64_t* s, std::uint64_t* d, std::int64_t n,
-                  std::int64_t st) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4, s += 4 * st) {
-    const __m128i a = _mm_set_epi64x(static_cast<long long>(s[st]),
-                                     static_cast<long long>(s[0]));
-    const __m128i b = _mm_set_epi64x(static_cast<long long>(s[3 * st]),
-                                     static_cast<long long>(s[2 * st]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i), a);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 2), b);
-  }
-  for (; i < n; ++i, s += st) d[i] = *s;
-}
-
-__attribute__((target("avx2"))) void gather8_avx2(const std::uint64_t* s,
-                                                  std::uint64_t* d,
-                                                  std::int64_t n,
-                                                  std::int64_t st) {
-  const __m256i idx =
-      _mm256_setr_epi64x(0, st, 2 * st, 3 * st);  // element indices, scale 8
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4, s += 4 * st) {
-    const __m256i v = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(s), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i), v);
-  }
-  for (; i < n; ++i, s += st) d[i] = *s;
-}
-
-#endif  // MXN_KERNELS_X86
-
-// --- strided gather/scatter, width 4 ---------------------------------------
-
-void gather4_scalar(const std::uint32_t* s, std::uint32_t* d, std::int64_t n,
-                    std::int64_t st) {
-  for (std::int64_t i = 0; i < n; ++i) d[i] = s[i * st];
-}
-
-void scatter4_scalar(std::uint32_t* s, const std::uint32_t* d, std::int64_t n,
-                     std::int64_t st) {
-  for (std::int64_t i = 0; i < n; ++i) s[i * st] = d[i];
-}
-
-#if MXN_KERNELS_X86
-
-void gather4_sse2(const std::uint32_t* s, std::uint32_t* d, std::int64_t n,
-                  std::int64_t st) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4, s += 4 * st) {
-    const __m128i v = _mm_set_epi32(static_cast<int>(s[3 * st]),
-                                    static_cast<int>(s[2 * st]),
-                                    static_cast<int>(s[st]),
-                                    static_cast<int>(s[0]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i), v);
-  }
-  for (; i < n; ++i, s += st) d[i] = *s;
-}
-
-__attribute__((target("avx2"))) void gather4_avx2(const std::uint32_t* s,
-                                                  std::uint32_t* d,
-                                                  std::int64_t n,
-                                                  std::int64_t st) {
-  const int s32 = static_cast<int>(st);
-  const __m256i idx = _mm256_setr_epi32(0, s32, 2 * s32, 3 * s32, 4 * s32,
-                                        5 * s32, 6 * s32, 7 * s32);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8, s += 8 * st) {
-    const __m256i v =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(s), idx, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i), v);
-  }
-  for (; i < n; ++i, s += st) d[i] = *s;
-}
-
-#endif  // MXN_KERNELS_X86
-
-// Scatter has no SIMD store-side instruction before AVX-512; the tiers
-// share one unrolled form (the unrolling is what the strided store loop
-// needs — the loads are contiguous already).
-void scatter8_unrolled(std::uint64_t* s, const std::uint64_t* d,
-                       std::int64_t n, std::int64_t st) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4, s += 4 * st) {
-    s[0] = d[i];
-    s[st] = d[i + 1];
-    s[2 * st] = d[i + 2];
-    s[3 * st] = d[i + 3];
-  }
-  for (; i < n; ++i, s += st) *s = d[i];
-}
-
-void scatter4_unrolled(std::uint32_t* s, const std::uint32_t* d,
-                       std::int64_t n, std::int64_t st) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4, s += 4 * st) {
-    s[0] = d[i];
-    s[st] = d[i + 1];
-    s[2 * st] = d[i + 2];
-    s[3 * st] = d[i + 3];
-  }
-  for (; i < n; ++i, s += st) *s = d[i];
-}
-
-// i32gather indices are 32-bit: 7*st must not overflow. Strides are local
-// storage distances so this never triggers in practice, but stay correct.
-constexpr std::int64_t kMaxI32Stride = (std::int64_t{1} << 28);
-
-// --- block trains ----------------------------------------------------------
-
 // count blocks of `bb` bytes each, storage starts `sb` bytes apart. The
-// switch pins the copy size so the compiler emits straight-line vector
-// moves instead of a memcpy call per block.
+// switch pins the copy size so the compiler emits straight-line moves
+// instead of a memcpy call per block; a pure strided run is a train of
+// one-element blocks (bb = width), so widths 4 and 8 land on fixed cases.
 template <bool Gather>
 void block_train(std::byte* storage, std::byte* buf, std::int64_t count,
                  std::size_t bb, std::int64_t sb) {
@@ -234,25 +61,7 @@ void block_train(std::byte* storage, std::byte* buf, std::int64_t count,
   }
 }
 
-// Generic per-element strided copy for widths without a dedicated kernel.
-template <bool Gather>
-void strided_generic(std::byte* storage, std::byte* buf, std::int64_t n,
-                     std::size_t width, std::int64_t stride_bytes) {
-  for (std::int64_t i = 0; i < n; ++i, storage += stride_bytes, buf += width) {
-    if constexpr (Gather)
-      std::memcpy(buf, storage, width);
-    else
-      std::memcpy(storage, buf, width);
-  }
-}
-
 }  // namespace
-
-Isa active_isa() { return isa_slot().load(std::memory_order_relaxed); }
-
-void set_isa(Isa isa) {
-  isa_slot().store(clamp_isa(isa), std::memory_order_relaxed);
-}
 
 const char* isa_name(Isa isa) {
   switch (isa) {
@@ -268,108 +77,38 @@ const char* isa_name(Isa isa) {
 
 void gather_run(const void* storage, void* buf, std::size_t width,
                 const BlockRun& r) {
-  const auto* src = static_cast<const std::byte*>(storage) +
-                    r.storage_off * static_cast<std::int64_t>(width);
-  auto* dst = static_cast<std::byte*>(buf) +
-              r.buf_off * static_cast<std::int64_t>(width);
-  const std::size_t bytes =
-      static_cast<std::size_t>(r.block_len * r.count) * width;
-  if (bytes == 0) return;
+  const auto w = static_cast<std::int64_t>(width);
+  auto* src = const_cast<std::byte*>(static_cast<const std::byte*>(storage)) +
+              r.storage_off * w;
+  auto* dst = static_cast<std::byte*>(buf) + r.buf_off * w;
+  const auto bytes = static_cast<std::size_t>(r.block_len * r.count * w);
   if (r.count == 1) {  // contiguous promotion
     std::memcpy(dst, src, bytes);
     ctr().memcpy_bytes.add(bytes);
-    return;
+  } else {  // block train; a strided run is a train of 1-element blocks
+    block_train<true>(src, dst, r.count,
+                      static_cast<std::size_t>(r.block_len * w),
+                      r.block_stride * w);
+    ctr().simd_bytes.add(bytes);
   }
-  if (r.block_len == 1) {  // pure strided gather
-    const Isa isa = active_isa();
-    if (width == 8) {
-      const auto* s = reinterpret_cast<const std::uint64_t*>(src);
-      auto* d = reinterpret_cast<std::uint64_t*>(dst);
-#if MXN_KERNELS_X86
-      if (isa == Isa::Avx2)
-        gather8_avx2(s, d, r.count, r.block_stride);
-      else if (isa == Isa::Sse2)
-        gather8_sse2(s, d, r.count, r.block_stride);
-      else
-#endif
-        gather8_scalar(s, d, r.count, r.block_stride);
-      (isa == Isa::Scalar ? ctr().scalar_bytes : ctr().simd_bytes).add(bytes);
-      return;
-    }
-    if (width == 4) {
-      const auto* s = reinterpret_cast<const std::uint32_t*>(src);
-      auto* d = reinterpret_cast<std::uint32_t*>(dst);
-#if MXN_KERNELS_X86
-      if (isa == Isa::Avx2 && r.block_stride > 0 &&
-          r.block_stride < kMaxI32Stride)
-        gather4_avx2(s, d, r.count, r.block_stride);
-      else if (isa != Isa::Scalar)
-        gather4_sse2(s, d, r.count, r.block_stride);
-      else
-#endif
-        gather4_scalar(s, d, r.count, r.block_stride);
-      (isa == Isa::Scalar ? ctr().scalar_bytes : ctr().simd_bytes).add(bytes);
-      return;
-    }
-    strided_generic<true>(const_cast<std::byte*>(src), dst, r.count, width,
-                          r.block_stride * static_cast<std::int64_t>(width));
-    ctr().scalar_bytes.add(bytes);
-    return;
-  }
-  // Block train: fixed-size copies, storage side strided.
-  block_train<true>(const_cast<std::byte*>(src), dst, r.count,
-                    static_cast<std::size_t>(r.block_len) * width,
-                    r.block_stride * static_cast<std::int64_t>(width));
-  (active_isa() == Isa::Scalar ? ctr().scalar_bytes : ctr().simd_bytes)
-      .add(bytes);
 }
 
 void scatter_run(void* storage, const void* buf, std::size_t width,
                  const BlockRun& r) {
-  auto* dst = static_cast<std::byte*>(storage) +
-              r.storage_off * static_cast<std::int64_t>(width);
-  const auto* src = static_cast<const std::byte*>(buf) +
-                    r.buf_off * static_cast<std::int64_t>(width);
-  const std::size_t bytes =
-      static_cast<std::size_t>(r.block_len * r.count) * width;
-  if (bytes == 0) return;
+  const auto w = static_cast<std::int64_t>(width);
+  auto* dst = static_cast<std::byte*>(storage) + r.storage_off * w;
+  auto* src = const_cast<std::byte*>(static_cast<const std::byte*>(buf)) +
+              r.buf_off * w;
+  const auto bytes = static_cast<std::size_t>(r.block_len * r.count * w);
   if (r.count == 1) {  // contiguous promotion
     std::memcpy(dst, src, bytes);
     ctr().memcpy_bytes.add(bytes);
-    return;
+  } else {  // block train; a strided run is a train of 1-element blocks
+    block_train<false>(dst, src, r.count,
+                       static_cast<std::size_t>(r.block_len * w),
+                       r.block_stride * w);
+    ctr().simd_bytes.add(bytes);
   }
-  if (r.block_len == 1) {  // pure strided scatter
-    const Isa isa = active_isa();
-    if (width == 8) {
-      auto* s = reinterpret_cast<std::uint64_t*>(dst);
-      const auto* d = reinterpret_cast<const std::uint64_t*>(src);
-      if (isa == Isa::Scalar)
-        scatter8_scalar(s, d, r.count, r.block_stride);
-      else
-        scatter8_unrolled(s, d, r.count, r.block_stride);
-      (isa == Isa::Scalar ? ctr().scalar_bytes : ctr().simd_bytes).add(bytes);
-      return;
-    }
-    if (width == 4) {
-      auto* s = reinterpret_cast<std::uint32_t*>(dst);
-      const auto* d = reinterpret_cast<const std::uint32_t*>(src);
-      if (isa == Isa::Scalar)
-        scatter4_scalar(s, d, r.count, r.block_stride);
-      else
-        scatter4_unrolled(s, d, r.count, r.block_stride);
-      (isa == Isa::Scalar ? ctr().scalar_bytes : ctr().simd_bytes).add(bytes);
-      return;
-    }
-    strided_generic<false>(dst, const_cast<std::byte*>(src), r.count, width,
-                           r.block_stride * static_cast<std::int64_t>(width));
-    ctr().scalar_bytes.add(bytes);
-    return;
-  }
-  block_train<false>(dst, const_cast<std::byte*>(src), r.count,
-                     static_cast<std::size_t>(r.block_len) * width,
-                     r.block_stride * static_cast<std::int64_t>(width));
-  (active_isa() == Isa::Scalar ? ctr().scalar_bytes : ctr().simd_bytes)
-      .add(bytes);
 }
 
 }  // namespace mxn::rt::kernels

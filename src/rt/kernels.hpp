@@ -6,18 +6,21 @@
 
 namespace mxn::rt::kernels {
 
-/// Instruction tiers the strided copy kernels dispatch over at runtime.
-/// Detection happens once per process (x86-64: SSE2 always, AVX2 when the
-/// CPU reports it); MXN_SIMD=scalar|sse2|avx2 overrides it, and tests can
-/// force a tier with set_isa() to compare outputs across paths.
+/// Instruction set the portable copy kernels were compiled for: a label of
+/// the compiler's target flags, fixed at build time. There is no runtime
+/// detection or override; every run takes the same byte-level path.
 enum class Isa { Scalar, Sse2, Avx2 };
 
-[[nodiscard]] Isa active_isa();
+[[nodiscard]] constexpr Isa active_isa() {
+#if defined(__AVX2__)
+  return Isa::Avx2;
+#elif defined(__SSE2__) || defined(_M_X64)
+  return Isa::Sse2;
+#else
+  return Isa::Scalar;
+#endif
+}
 [[nodiscard]] const char* isa_name(Isa isa);
-
-/// Force a tier (clamped to what the CPU supports). Test hook — the
-/// differential suite runs every tier over the same inputs.
-void set_isa(Isa isa);
 
 /// One coalesced copy unit between strided local storage and a contiguous
 /// buffer: `count` blocks of `block_len` contiguous elements whose starts
@@ -25,9 +28,9 @@ void set_isa(Isa isa);
 /// back-to-back on the buffer side starting at `buf_off`. All quantities
 /// are in elements of the caller's width:
 ///
-///   count == 1              one contiguous run -> a single memcpy
-///   block_len == 1          pure strided gather/scatter (SIMD kernels)
-///   block_len > 1, count>1  fixed-size block train (unrolled small copies)
+///   count == 1   one contiguous run -> a single memcpy
+///   count > 1    block train: one fixed-size memcpy per block (a pure
+///                strided run is a train of one-element blocks)
 struct BlockRun {
   std::int64_t storage_off = 0;
   std::int64_t block_len = 0;
@@ -37,14 +40,13 @@ struct BlockRun {
 };
 
 /// buf <- storage (the pack direction). `width` is the element size in
-/// bytes; widths 4 and 8 take the vectorized strided kernels, everything
-/// else a generic per-element path. Bytes moved are accounted to
-/// sched.kernel.memcpy_bytes (count == 1), sched.kernel.simd_bytes
-/// (strided/block kernels) or sched.kernel.scalar_bytes (generic widths).
+/// bytes; every copy is a memcpy on bytes, so neither side needs any
+/// alignment. Bytes moved are accounted to sched.kernel.memcpy_bytes
+/// (count == 1) or sched.kernel.simd_bytes (block trains).
 void gather_run(const void* storage, void* buf, std::size_t width,
                 const BlockRun& r);
 
-/// storage <- buf (the unpack direction). Same dispatch and accounting.
+/// storage <- buf (the unpack direction). Same shapes and accounting.
 void scatter_run(void* storage, const void* buf, std::size_t width,
                  const BlockRun& r);
 
@@ -57,10 +59,10 @@ void scatter_run(void* storage, const void* buf, std::size_t width,
 ///    run (memcpy promotion: a cyclic footprint packed toward one block
 ///    peer becomes a single memcpy);
 ///  - equal-length runs whose starts advance by a constant delta fuse into
-///    a strided block train (block-cyclic), degenerating for length-1 runs
-///    into the SIMD gather/scatter kernels (cyclic unpack);
+///    a strided block train (block-cyclic), with one-element blocks for
+///    length-1 runs (cyclic unpack);
 ///  - a run that already carries a storage stride > 1 (permuted
-///    linearizations) maps directly onto the strided kernels.
+///    linearizations) maps directly onto a train of one-element blocks.
 ///
 /// The merge logic is element-width-agnostic; emission binds the width.
 class RunCoalescer {

@@ -58,25 +58,6 @@ void drain_arrival_order(rt::Communicator& channel,
   }
 }
 
-/// Alias `bytes` as a T array when alignment permits; otherwise fall back to
-/// one counted copy into `fallback`. Pooled payloads are kBufferAlign-aligned
-/// and vector storage comes from operator new, so the fallback only triggers
-/// for over-aligned T or serial-framed sub-spans; "sched.align.fallback"
-/// counts every trip so an alignment regression on the hot path is visible
-/// in the trace report rather than a silent slowdown.
-template <class T>
-const T* aligned_or_copy(std::span<const std::byte> bytes,
-                         std::vector<T>& fallback) {
-  if (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T) == 0)
-    return reinterpret_cast<const T*>(bytes.data());
-  static trace::Counter& fallbacks = trace::counter("sched.align.fallback");
-  fallbacks.add(1);
-  fallback.resize(bytes.size() / sizeof(T));
-  std::memcpy(fallback.data(), bytes.data(), bytes.size());
-  rt::note_bytes_copied(bytes.size());
-  return fallback.data();
-}
-
 /// Walk the runs shared by `segs` and the local footprint `prov`, invoking
 /// `fn(storage_start, storage_stride, buf_index, count)` per contiguous run.
 /// Factored out so pack and unpack share one coverage-checking walk.
@@ -108,12 +89,11 @@ void for_each_segment_run(const std::vector<linear::ProvenancedSegment>& prov,
 /// Compile the (footprint, segments) walk into a reusable
 /// rt::kernels::RunPlan: the walk's raw runs go through
 /// rt::kernels::RunCoalescer, which fuses adjacent unit-stride runs into
-/// single memcpys, constant-delta run trains into block kernels and pure
-/// strided runs into the SIMD gather/scatter tiers (docs/PERFORMANCE.md,
-/// "Copy kernels"). A caller that ships the same pattern repeatedly (the mct
-/// Router and Rearranger reuse one schedule every timestep) compiles once
-/// and replays with plan.gather()/plan.scatter(), paying only for the
-/// copies.
+/// single memcpys and constant-delta run trains and pure strided runs into
+/// block trains (docs/PERFORMANCE.md, "Copy kernels"). A caller that ships
+/// the same pattern repeatedly (the mct Router and Rearranger reuse one
+/// schedule every timestep) compiles once and replays with
+/// plan.gather()/plan.scatter(), paying only for the copies.
 inline rt::kernels::RunPlan compile_run_plan(
     const std::vector<linear::ProvenancedSegment>& prov,
     const std::vector<linear::Segment>& segs) {
@@ -134,20 +114,21 @@ inline rt::kernels::RunPlan compile_run_plan(
 
 /// Pack the elements of `segs` (ascending, each covered by the footprint in
 /// `prov`) from local storage into a linear-ordered buffer: a one-shot
-/// compile_run_plan replayed once.
+/// compile_run_plan replayed once. `buf` is raw bytes of any alignment (a
+/// payload, or a sub-span of one behind a header).
 template <class T>
 void pack_segments(const std::vector<linear::ProvenancedSegment>& prov,
                    const std::vector<linear::Segment>& segs, const T* local,
-                   T* buf) {
+                   void* buf) {
   compile_run_plan(prov, segs).gather(local, buf, sizeof(T));
 }
 
-/// Mirror image of pack_segments: scatter a linear-ordered buffer back into
-/// local storage through the same compiled plan.
+/// Mirror image of pack_segments: scatter a linear-ordered buffer of any
+/// alignment back into local storage through the same compiled plan.
 template <class T>
 void unpack_segments(const std::vector<linear::ProvenancedSegment>& prov,
                      const std::vector<linear::Segment>& segs, T* local,
-                     const T* buf) {
+                     const void* buf) {
   compile_run_plan(prov, segs).scatter(local, buf, sizeof(T));
 }
 
@@ -267,7 +248,8 @@ void execute(const RegionSchedule& sched, const dad::DistArray<T>* src_arr,
 /// footprints of the local arrays under the source/destination
 /// linearizations (compute once with linear::footprint_with_provenance and
 /// reuse across transfers, like the schedule itself). Payloads are
-/// linear-ordered segment runs (pack_segments) instead of regions.
+/// linear-ordered segment runs (pack_segments) instead of regions, packed
+/// into and injected out of the payload bytes directly.
 template <class T>
 void execute(const SegmentSchedule& sched, dad::DistArray<T>* src_arr,
              const std::vector<linear::ProvenancedSegment>* src_prov,
@@ -277,13 +259,11 @@ void execute(const SegmentSchedule& sched, dad::DistArray<T>* src_arr,
   execute_bytes(
       sched, sizeof(T), c, tag,
       [&](const PeerSegments& ps, std::byte* out) {
-        pack_segments<T>(*src_prov, ps.segs, src_arr->local().data(),
-                         reinterpret_cast<T*>(out));
+        pack_segments<T>(*src_prov, ps.segs, src_arr->local().data(), out);
       },
       [&](const PeerSegments& ps, std::span<const std::byte> in) {
-        std::vector<T> fallback;
         unpack_segments<T>(*dst_prov, ps.segs, dst_arr->local().data(),
-                           detail::aligned_or_copy<T>(in, fallback));
+                           in.data());
       });
 }
 

@@ -80,17 +80,9 @@ void redistribute_receiver_driven(const dad::DistArray<T>* src_arr,
       }
       const std::size_t nbytes =
           static_cast<std::size_t>(elements) * sizeof(T);
-      std::byte* out = reply.append_uninitialized(nbytes);
-      if (reinterpret_cast<std::uintptr_t>(out) % alignof(T) == 0) {
-        pack_segments<T>(prov, common, src_arr->local().data(),
-                         reinterpret_cast<T*>(out));
-        rt::note_bytes_copied(nbytes);
-      } else {
-        std::vector<T> buf(static_cast<std::size_t>(elements));
-        pack_segments<T>(prov, common, src_arr->local().data(), buf.data());
-        std::memcpy(out, buf.data(), nbytes);
-        rt::note_bytes_copied(2 * nbytes);
-      }
+      pack_segments<T>(prov, common, src_arr->local().data(),
+                       reply.append_uninitialized(nbytes));
+      rt::note_bytes_copied(nbytes);
       channel.send(msg.src, data_tag, std::move(reply).take());
     }
   }
@@ -112,9 +104,7 @@ void redistribute_receiver_driven(const dad::DistArray<T>* src_arr,
       }
       // Scatter straight out of the payload — no intermediate vector.
       auto raw = u.unpack_raw(static_cast<std::size_t>(elements) * sizeof(T));
-      std::vector<T> fallback;
-      const T* data = detail::aligned_or_copy<T>(raw, fallback);
-      unpack_segments<T>(prov, segs, dst_arr->local().data(), data);
+      unpack_segments<T>(prov, segs, dst_arr->local().data(), raw.data());
     }
   }
 }

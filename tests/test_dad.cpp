@@ -16,7 +16,6 @@
 #include "dri/dri.hpp"
 #include "intercomm/local_array.hpp"
 #include "redundancy/redundancy.hpp"
-#include "rt/kernels.hpp"
 #include "rt/runtime.hpp"
 #include "trace/trace.hpp"
 
@@ -83,6 +82,16 @@ TEST(Patch, PackUnpackRoundTrip) {
   auto bytes = std::move(b).take();
   mxn::rt::UnpackBuffer u(bytes);
   EXPECT_EQ(Patch::unpack(u), p);
+}
+
+TEST(Patch, UnpackRejectsHostileNdim) {
+  // ndim = 64 would write lo/hi past the 4-slot Point.
+  mxn::rt::PackBuffer b;
+  b.pack(64);
+  for (int a = 0; a < 2 * 64; ++a) b.pack(Index{a});
+  auto bytes = std::move(b).take();
+  mxn::rt::UnpackBuffer u(bytes);
+  EXPECT_THROW((void)Patch::unpack(u), mxn::rt::UsageError);
 }
 
 // ---------------------------------------------------------------------------
@@ -415,6 +424,34 @@ INSTANTIATE_TEST_SUITE_P(
                       3))),
     [](const auto& info) { return info.param.name; });
 
+TEST(Descriptor, UnpackRejectsHostileNdim) {
+  // ndim = 64 would write extents past the 4-slot Point.
+  mxn::rt::PackBuffer b;
+  b.pack(false);
+  b.pack(64);
+  for (int a = 0; a < 64; ++a) b.pack(Index{8});
+  b.pack(1);
+  auto bytes = std::move(b).take();
+  mxn::rt::UnpackBuffer u(bytes);
+  EXPECT_THROW((void)Descriptor::unpack(u), mxn::rt::UsageError);
+}
+
+TEST(Descriptor, UnpackRejectsHostileCounts) {
+  // A patch or axis count of 2^40 must fail before it sizes a reservation.
+  for (const bool ex : {true, false}) {
+    mxn::rt::PackBuffer b;
+    b.pack(ex);
+    b.pack(1);
+    b.pack(Index{8});
+    b.pack(1);
+    b.pack(std::uint64_t{1} << 40);
+    auto bytes = std::move(b).take();
+    mxn::rt::UnpackBuffer u(bytes);
+    EXPECT_THROW((void)Descriptor::unpack(u), mxn::rt::UsageError)
+        << (ex ? "explicit patches" : "regular axes");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DistArray
 // ---------------------------------------------------------------------------
@@ -476,38 +513,17 @@ TEST(DistArray, LocalSpanMatchesVolume) {
 
 namespace {
 
-namespace kern = mxn::rt::kernels;
 using Bytes = std::vector<std::byte>;
-
-/// Every ISA tier the CPU supports, scalar first.
-std::vector<kern::Isa> supported_tiers() {
-  const kern::Isa original = kern::active_isa();
-  std::vector<kern::Isa> tiers;
-  for (kern::Isa isa : {kern::Isa::Scalar, kern::Isa::Sse2, kern::Isa::Avx2}) {
-    kern::set_isa(isa);
-    if (kern::active_isa() == isa) tiers.push_back(isa);
-  }
-  kern::set_isa(original);
-  return tiers;
-}
-
-/// Forces a tier for one scope; a failing assertion cannot leak it.
-struct IsaGuard {
-  kern::Isa saved = kern::active_isa();
-  explicit IsaGuard(kern::Isa isa) { kern::set_isa(isa); }
-  ~IsaGuard() { kern::set_isa(saved); }
-};
 
 /// A 12-byte element: no SIMD lane width divides it.
 struct Odd12 {
   std::uint32_t a, b, c;
 };
 
-/// Bytes moved by the copy kernels so far, over all three dispatch classes.
+/// Bytes moved by the copy kernels so far, memcpys and block trains.
 std::uint64_t kernel_bytes() {
   return mxn::trace::counter("sched.kernel.memcpy_bytes").value() +
-         mxn::trace::counter("sched.kernel.simd_bytes").value() +
-         mxn::trace::counter("sched.kernel.scalar_bytes").value();
+         mxn::trace::counter("sched.kernel.simd_bytes").value();
 }
 
 Bytes random_bytes(std::mt19937& rng, std::size_t n) {
@@ -693,7 +709,6 @@ void check_typed_callers(const RegionCase& c) {
 
 TEST(RegionCopy, EveryPathMatchesPerPointReferenceOnEveryTier) {
   std::mt19937 rng(7);
-  const auto tiers = supported_tiers();
   for (int trial = 0; trial < 48; ++trial) {
     const int ndim = 1 + trial % 4;
     const auto desc = trial % 8 < 4 ? random_regular(rng, ndim)
@@ -716,27 +731,22 @@ TEST(RegionCopy, EveryPathMatchesPerPointReferenceOnEveryTier) {
         const Index base = desc->patch_base(rank, pi);
         for (const Patch& region : regions_of(owned, rng)) {
           const RegionCase c(desc, rank, region, local, width, rng);
-          for (kern::Isa isa : tiers) {
-            SCOPED_TRACE(kern::isa_name(isa));
-            IsaGuard guard(isa);
-            c.check_gather("gather_region", [&](std::byte* out) {
-              dad::gather_region(owned, base, region, local.data(), out,
-                                 width);
-            });
-            c.check_scatter("scatter_region", [&](std::byte* storage) {
-              dad::scatter_region(owned, base, region, storage, c.in.data(),
-                                  width);
-            });
-            c.check_gather("blob_backed_field", [&](std::byte* out) {
-              blob_field.extract(region, out);
-            });
-            if (width == 4)
-              check_typed_callers<std::uint32_t>(c);
-            else if (width == 8)
-              check_typed_callers<double>(c);
-            else
-              check_typed_callers<Odd12>(c);
-          }
+          c.check_gather("gather_region", [&](std::byte* out) {
+            dad::gather_region(owned, base, region, local.data(), out, width);
+          });
+          c.check_scatter("scatter_region", [&](std::byte* storage) {
+            dad::scatter_region(owned, base, region, storage, c.in.data(),
+                                width);
+          });
+          c.check_gather("blob_backed_field", [&](std::byte* out) {
+            blob_field.extract(region, out);
+          });
+          if (width == 4)
+            check_typed_callers<std::uint32_t>(c);
+          else if (width == 8)
+            check_typed_callers<double>(c);
+          else
+            check_typed_callers<Odd12>(c);
         }
       }
     }
@@ -790,39 +800,35 @@ TEST(RegionCopy, DriReorgMatchesPerPointReferenceOnEveryTier) {
       return static_cast<std::byte>(h >> 29);
     };
     const int world_size = src.nprocs() + dst.nprocs();
-    for (kern::Isa isa : supported_tiers()) {
-      SCOPED_TRACE(std::string(kern::isa_name(isa)) + " trial " +
-                   std::to_string(trial));
-      IsaGuard guard(isa);
-      mxn::rt::spawn(world_size, [&](mxn::rt::Communicator& world) {
-        dri::Reorg reorg(world, src, dst, 31);
-        const int me = world.rank();
-        const int my_dst = me - src.nprocs();
-        Bytes sbuf, dbuf;
-        if (me < src.nprocs()) {
-          sbuf.resize(src.local_bytes(me));
-          const auto& d = *src.descriptor();
-          for (const auto& patch : d.patches_of(me))
-            patch.for_each_point([&](const Point& p) {
-              const auto off =
-                  static_cast<std::size_t>(d.global_to_local(me, p)) * w;
-              for (std::size_t b = 0; b < w; ++b) sbuf[off + b] = value(p, b);
-            });
-        } else {
-          dbuf.resize(dst.local_bytes(my_dst));
-        }
-        reorg.run(sbuf, dbuf);
-        if (my_dst < 0) return;
-        const auto& d = *dst.descriptor();
-        for (const auto& patch : d.patches_of(my_dst))
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    mxn::rt::spawn(world_size, [&](mxn::rt::Communicator& world) {
+      dri::Reorg reorg(world, src, dst, 31);
+      const int me = world.rank();
+      const int my_dst = me - src.nprocs();
+      Bytes sbuf, dbuf;
+      if (me < src.nprocs()) {
+        sbuf.resize(src.local_bytes(me));
+        const auto& d = *src.descriptor();
+        for (const auto& patch : d.patches_of(me))
           patch.for_each_point([&](const Point& p) {
             const auto off =
-                static_cast<std::size_t>(d.global_to_local(my_dst, p)) * w;
-            for (std::size_t b = 0; b < w; ++b)
-              ASSERT_EQ(dbuf[off + b], value(p, b))
-                  << "point " << p[0] << "," << p[1] << "," << p[2];
+                static_cast<std::size_t>(d.global_to_local(me, p)) * w;
+            for (std::size_t b = 0; b < w; ++b) sbuf[off + b] = value(p, b);
           });
-      });
-    }
+      } else {
+        dbuf.resize(dst.local_bytes(my_dst));
+      }
+      reorg.run(sbuf, dbuf);
+      if (my_dst < 0) return;
+      const auto& d = *dst.descriptor();
+      for (const auto& patch : d.patches_of(my_dst))
+        patch.for_each_point([&](const Point& p) {
+          const auto off =
+              static_cast<std::size_t>(d.global_to_local(my_dst, p)) * w;
+          for (std::size_t b = 0; b < w; ++b)
+            ASSERT_EQ(dbuf[off + b], value(p, b))
+                << "point " << p[0] << "," << p[1] << "," << p[2];
+        });
+    });
   }
 }

@@ -1,10 +1,10 @@
-// Differential tests for the strided copy kernel layer (rt/kernels): every
-// ISA tier must produce byte-identical results to the retained scalar
+// Differential tests for the strided copy kernel layer (rt/kernels): the
+// portable kernels must produce byte-identical results to the retained scalar
 // reference (sched::pack_segments_scalar / unpack_segments_scalar) over
 // randomized segment sets — strides 1..17, odd lengths, unaligned storage
 // offsets, every element width the data plane moves. Also covers the run
-// coalescer's promotion rules and the pooled-buffer alignment contract the
-// alignment-aware entry points rely on.
+// coalescer's promotion rules, the pooled-buffer alignment contract and
+// payloads at any byte offset.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "rt/buffer.hpp"
@@ -25,30 +26,8 @@ namespace trace = mxn::trace;
 namespace kern = mxn::rt::kernels;
 using mxn::linear::ProvenancedSegment;
 using mxn::linear::Segment;
-using kern::Isa;
 
 namespace {
-
-/// Every tier the hardware supports, scalar first. set_isa clamps, so
-/// requesting an unsupported tier is visible as active_isa() != requested.
-std::vector<Isa> supported_tiers() {
-  const Isa original = kern::active_isa();
-  std::vector<Isa> tiers;
-  for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Avx2}) {
-    kern::set_isa(isa);
-    if (kern::active_isa() == isa) tiers.push_back(isa);
-  }
-  kern::set_isa(original);
-  return tiers;
-}
-
-/// RAII tier override so a failing assertion cannot leak a forced tier into
-/// later tests.
-struct IsaGuard {
-  Isa saved = kern::active_isa();
-  explicit IsaGuard(Isa isa) { kern::set_isa(isa); }
-  ~IsaGuard() { kern::set_isa(saved); }
-};
 
 /// A deliberately awkward element: 12 bytes, no SIMD lane width divides it.
 struct Odd12 {
@@ -159,17 +138,14 @@ void differential_round(std::mt19937& rng) {
 
 template <class T>
 void run_differential_suite() {
-  for (Isa isa : supported_tiers()) {
-    IsaGuard guard(isa);
-    std::mt19937 rng(20260808);
-    for (int round = 0; round < 40; ++round) differential_round<T>(rng);
-  }
+  std::mt19937 rng(20260808);
+  for (int round = 0; round < 40; ++round) differential_round<T>(rng);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// pack/unpack_segments vs the scalar reference, every width, every tier
+// pack/unpack_segments vs the scalar reference, every width
 // ---------------------------------------------------------------------------
 
 TEST(KernelDifferential, Width1) { run_differential_suite<std::uint8_t>(); }
@@ -182,29 +158,25 @@ TEST(KernelDifferential, Width12Odd) { run_differential_suite<Odd12>(); }
 // Deterministic shapes that must hit each dispatch path: pure strided
 // (cyclic), block train (block-cyclic), contiguous promotion.
 TEST(KernelDifferential, EveryStride1To17) {
-  for (Isa isa : supported_tiers()) {
-    IsaGuard guard(isa);
-    for (std::int64_t stride = 1; stride <= 17; ++stride) {
-      for (std::int64_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 101}) {
-        ProvenancedSegment ps;
-        ps.seg = {0, n};
-        ps.storage_offset = 3;  // odd offset: never vector-aligned
-        ps.storage_stride = stride;
-        std::vector<ProvenancedSegment> prov{ps};
-        std::vector<Segment> segs{{0, n}};
-        std::vector<std::uint64_t> storage(
-            static_cast<std::size_t>(3 + n * stride + 1));
-        for (std::size_t i = 0; i < storage.size(); ++i)
-          storage[i] = element_of<std::uint64_t>(i);
-        std::vector<std::uint64_t> ref(static_cast<std::size_t>(n));
-        std::vector<std::uint64_t> out(static_cast<std::size_t>(n));
-        sched::pack_segments_scalar<std::uint64_t>(prov, segs, storage.data(),
-                                                   ref.data());
-        sched::pack_segments<std::uint64_t>(prov, segs, storage.data(),
-                                            out.data());
-        ASSERT_EQ(out, ref) << "stride=" << stride << " n=" << n
-                            << " isa=" << kern::isa_name(isa);
-      }
+  for (std::int64_t stride = 1; stride <= 17; ++stride) {
+    for (std::int64_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 101}) {
+      ProvenancedSegment ps;
+      ps.seg = {0, n};
+      ps.storage_offset = 3;  // odd offset: never vector-aligned
+      ps.storage_stride = stride;
+      std::vector<ProvenancedSegment> prov{ps};
+      std::vector<Segment> segs{{0, n}};
+      std::vector<std::uint64_t> storage(
+          static_cast<std::size_t>(3 + n * stride + 1));
+      for (std::size_t i = 0; i < storage.size(); ++i)
+        storage[i] = element_of<std::uint64_t>(i);
+      std::vector<std::uint64_t> ref(static_cast<std::size_t>(n));
+      std::vector<std::uint64_t> out(static_cast<std::size_t>(n));
+      sched::pack_segments_scalar<std::uint64_t>(prov, segs, storage.data(),
+                                                 ref.data());
+      sched::pack_segments<std::uint64_t>(prov, segs, storage.data(),
+                                          out.data());
+      ASSERT_EQ(out, ref) << "stride=" << stride << " n=" << n;
     }
   }
 }
@@ -284,8 +256,6 @@ TEST(RunCoalescer, PatternBreaksEmitSeparateRuns) {
 
 TEST(KernelCounters, StridedTrafficLandsInTheKernelCounters) {
   const std::uint64_t simd0 = trace::counter("sched.kernel.simd_bytes").value();
-  const std::uint64_t scalar0 =
-      trace::counter("sched.kernel.scalar_bytes").value();
   const std::uint64_t memcpy0 =
       trace::counter("sched.kernel.memcpy_bytes").value();
 
@@ -297,10 +267,8 @@ TEST(KernelCounters, StridedTrafficLandsInTheKernelCounters) {
   kern::gather_run(storage.data(), buf.data(), sizeof(std::uint64_t),
                    contiguous);
 
-  const std::uint64_t moved =
-      trace::counter("sched.kernel.simd_bytes").value() - simd0 +
-      trace::counter("sched.kernel.scalar_bytes").value() - scalar0;
-  EXPECT_EQ(moved, 128u * 8u);  // strided bytes, simd or scalar by tier
+  EXPECT_EQ(trace::counter("sched.kernel.simd_bytes").value() - simd0,
+            128u * 8u);  // strided bytes: a train of one-element blocks
   EXPECT_EQ(trace::counter("sched.kernel.memcpy_bytes").value() - memcpy0,
             128u * 8u);
 }
@@ -316,32 +284,56 @@ TEST(KernelAlignment, PooledBuffersHonorTheKernelAlignmentContract) {
   }
 }
 
-TEST(KernelAlignment, MisalignedSpanFallbackIsCounted) {
-  auto& fallbacks = trace::counter("sched.align.fallback");
-  const std::uint64_t before = fallbacks.value();
-  alignas(8) std::array<std::byte, 33> raw{};
-  std::vector<double> fb;
-  // Offset by one byte: cannot be aliased as double, must copy and count.
-  const double* p =
-      sched::detail::aligned_or_copy<double>({raw.data() + 1, 32}, fb);
-  EXPECT_EQ(fb.size(), 4u);
-  EXPECT_EQ(p, fb.data());
-  EXPECT_EQ(fallbacks.value(), before + 1);
+namespace {
 
-  // Aligned spans alias in place and do not count.
-  const double* q =
-      sched::detail::aligned_or_copy<double>({raw.data(), 32}, fb);
-  EXPECT_EQ(reinterpret_cast<const std::byte*>(q), raw.data());
-  EXPECT_EQ(fallbacks.value(), before + 1);
+/// Pack and unpack through a payload that starts `offset` bytes into a
+/// buffer, the way a header-framed sub-span or an adopted vector arrives:
+/// both the replayed plan and the typed segment unpack must match the
+/// scalar reference byte for byte.
+template <class T>
+void misaligned_round(std::mt19937& rng, std::size_t offset) {
+  const std::int64_t total = 300;
+  const Layout lay = random_layout(rng, total);
+  const auto segs = random_segments(rng, total);
+  std::int64_t elems = 0;
+  for (const auto& s : segs) elems += s.hi - s.lo;
+  const std::size_t bytes = static_cast<std::size_t>(elems) * sizeof(T);
+
+  std::vector<T> storage(static_cast<std::size_t>(lay.storage_elems));
+  for (std::size_t i = 0; i < storage.size(); ++i)
+    storage[i] = element_of<T>(i);
+  std::vector<T> ref(static_cast<std::size_t>(elems));
+  sched::pack_segments_scalar<T>(lay.prov, segs, storage.data(), ref.data());
+  std::vector<T> st_ref(storage.size(), element_of<T>(777));
+  sched::unpack_segments_scalar<T>(lay.prov, segs, st_ref.data(), ref.data());
+
+  std::vector<std::byte> raw(offset + bytes + 1);
+  std::byte* payload = raw.data() + offset;
+  sched::pack_segments<T>(lay.prov, segs, storage.data(), payload);
+  ASSERT_EQ(0, std::memcmp(payload, ref.data(), bytes));
+
+  const kern::RunPlan plan = sched::compile_run_plan(lay.prov, segs);
+  std::vector<T> st_out(storage.size(), element_of<T>(777));
+  plan.scatter(st_out.data(), payload, sizeof(T));
+  ASSERT_EQ(0, std::memcmp(st_out.data(), st_ref.data(),
+                           st_out.size() * sizeof(T)));
+
+  std::fill(st_out.begin(), st_out.end(), element_of<T>(777));
+  sched::unpack_segments<T>(lay.prov, segs, st_out.data(), payload);
+  ASSERT_EQ(0, std::memcmp(st_out.data(), st_ref.data(),
+                           st_out.size() * sizeof(T)));
 }
 
-TEST(KernelIsa, NamesAndOverrideRoundTrip) {
-  const Isa original = kern::active_isa();
-  EXPECT_STREQ(kern::isa_name(Isa::Scalar), "scalar");
-  EXPECT_STREQ(kern::isa_name(Isa::Sse2), "sse2");
-  EXPECT_STREQ(kern::isa_name(Isa::Avx2), "avx2");
-  kern::set_isa(Isa::Scalar);
-  EXPECT_EQ(kern::active_isa(), Isa::Scalar);
-  kern::set_isa(original);
-  EXPECT_EQ(kern::active_isa(), original);
+}  // namespace
+
+TEST(KernelAlignment, MisalignedPayloadsStayExact) {
+  for (std::size_t offset : {1u, 4u, 12u}) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    std::mt19937 rng(20261019);
+    for (int round = 0; round < 8; ++round) {
+      misaligned_round<std::uint32_t>(rng, offset);
+      misaligned_round<double>(rng, offset);
+      misaligned_round<Odd12>(rng, offset);
+    }
+  }
 }
