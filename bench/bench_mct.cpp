@@ -57,15 +57,8 @@ constexpr int kReps = 31;
 /// rank 0's rep time covers the whole transfer on all ranks.
 template <class Xfer>
 bench::Quartiles time_xfer(std::barrier<>& gate, const Xfer& xfer) {
-  return bench::time_quartiles(kWarmup, kReps, {[&] {
-                                 try {
-                                   xfer();
-                                 } catch (...) {
-                                   gate.arrive_and_drop();  // see count_one
-                                   throw;
-                                 }
-                                 gate.arrive_and_wait();
-                               }})[0];
+  return bench::time_quartiles(kWarmup, kReps,
+                               {bench::closed_by(gate, xfer)})[0];
 }
 
 /// Wall time per transfer plus the traffic of one counted transfer.

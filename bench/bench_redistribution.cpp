@@ -9,13 +9,20 @@
 //               moved through the runtime, drain in arrival order, inject
 //               straight from the received block. One copy per element.
 //
-// Reports elements/sec and bytes_copied/element (the rt.bytes_copied
+// Reports the median and quartiles of single-transfer throughput (the two
+// arms alternating rep by rep) and bytes_copied/element (the rt.bytes_copied
 // counter, which counts payload construction and staging copies but not the
-// final inject) and emits BENCH_redistribution.json for CI to archive.
+// final inject). A second table times bulk_stream's pipelined coupling and
+// counts its messages per transfer. Everything is also written to
+// BENCH_redistribution.json for CI to check and archive.
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <barrier>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -84,12 +91,25 @@ void execute_legacy(const sched::RegionSchedule& s,
   }
 }
 
+/// Warm-up and timed transfers per arm of every data-plane row.
+constexpr int kWarmup = 3;
+constexpr int kReps = 21;
+
+std::uint64_t copied() { return trace::counter("rt.bytes_copied").value(); }
+
+/// One arm of a data-plane row: seconds per transfer, and the counted
+/// copies per element of one quiesced transfer.
 struct Result {
-  double elems_per_s = 0;
-  double copies_per_elem = 0;  // bytes_copied / (elements * sizeof(double))
+  bench::Quartiles t;
+  double copies_per_elem = 0;
 };
 
-Result run_case(int m, int n, Index extent, bool legacy, int reps) {
+/// Both arms of one M x N case in one spawn: each rep is one transfer on
+/// every rank closed by a thread barrier, the arms alternating rep by rep
+/// (bench::time_quartiles). Then every rank quiesces on the barrier around
+/// one more transfer per arm, so the rt.bytes_copied delta rank 0 reads is
+/// exactly that transfer's copies.
+std::array<Result, 2> run_case(int m, int n, Index extent) {
   const auto gm = cube(m);
   const auto gn = cube(n);
   auto src = dad::make_regular(std::vector<AxisDist>{
@@ -98,10 +118,10 @@ Result run_case(int m, int n, Index extent, bool legacy, int reps) {
   auto dst = dad::make_regular(std::vector<AxisDist>{
       AxisDist::block(extent, gn[0]), AxisDist::block(extent, gn[1]),
       AxisDist::block(extent, gn[2])});
-  const double elements = double(extent) * extent * extent;
+  const double bytes = double(extent) * extent * extent * sizeof(double);
 
-  double seconds = 0;
-  const auto copied0 = trace::counter("rt.bytes_copied").value();
+  std::array<Result, 2> res;
+  std::barrier<> gate(m + n);
   rt::SpawnOptions opts;
   opts.deadlock_timeout_ms = 60000;
   rt::spawn(m + n, [&](rt::Communicator& world) {
@@ -114,31 +134,85 @@ Result run_case(int m, int n, Index extent, bool legacy, int reps) {
     }
     if (md >= 0) b = std::make_unique<dad::DistArray<double>>(dst, md);
     auto s = sched::build_region_schedule(*src, *dst, ms, md);
-
-    // Warm up (populates the buffer pool on the zero-copy path).
-    if (legacy)
-      execute_legacy(s, a.get(), b.get(), c, 5);
-    else
-      sched::execute<double>(s, a.get(), b.get(), c, 5);
-    world.barrier();
-    const double t0 = bench::now_s();
-    for (int r = 0; r < reps; ++r) {
-      if (legacy)
-        execute_legacy(s, a.get(), b.get(), c, 5);
-      else
-        sched::execute<double>(s, a.get(), b.get(), c, 5);
+    const std::array<std::function<void()>, 2> arms = {
+        bench::closed_by(gate,
+                         [&] { execute_legacy(s, a.get(), b.get(), c, 5); }),
+        bench::closed_by(gate, [&] {
+          sched::execute<double>(s, a.get(), b.get(), c, 5);
+        })};
+    const auto t = bench::time_quartiles(kWarmup, kReps, {arms[0], arms[1]});
+    for (std::size_t arm = 0; arm < arms.size(); ++arm) {
+      gate.arrive_and_wait();
+      const auto before = copied();
+      gate.arrive_and_wait();
+      arms[arm]();
+      if (world.rank() == 0)
+        res[arm] = {t[arm], double(copied() - before) / bytes};
     }
-    world.barrier();
-    if (world.rank() == 0) seconds = bench::now_s() - t0;
   }, opts);
-
-  Result res;
-  res.elems_per_s = elements * reps / seconds;
-  const auto copied = trace::counter("rt.bytes_copied").value() - copied0;
-  // The warm-up rep also counted: reps + 1 transfers of `elements` doubles.
-  res.copies_per_elem =
-      double(copied) / ((reps + 1) * elements * sizeof(double));
   return res;
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined transfers on bulk_stream's shape
+// ---------------------------------------------------------------------------
+
+/// bulk_stream's coupling (perfbench): 2 -> 2, 512 x 512 doubles, row blocks
+/// to block-cyclic columns of 8. Each source sends each destination 512 KiB
+/// in 16 KiB regions, so every peer payload is cut into chunks of
+/// sched::kChunkBytes.
+struct PipelinedRow {
+  int m = 2, n = 2;
+  Index extent = 512, col_block = 8;
+  bench::Quartiles t;
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+};
+
+PipelinedRow run_pipelined() {
+  PipelinedRow row;
+  auto src = dad::make_regular(std::vector<AxisDist>{
+      AxisDist::block(row.extent, row.m), AxisDist::collapsed(row.extent)});
+  auto dst = dad::make_regular(std::vector<AxisDist>{
+      AxisDist::collapsed(row.extent),
+      AxisDist::block_cyclic(row.extent, row.n, row.col_block)});
+  const auto value = [](const Point& p) { return 1000.0 * p[0] + p[1]; };
+  std::barrier<> gate(row.m + row.n);
+  std::atomic<long> wrong = 0;
+  rt::spawn(row.m + row.n, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, row.m, row.n);
+    const int ms = c.my_src_rank(), md = c.my_dst_rank();
+    std::unique_ptr<dad::DistArray<double>> a, b;
+    if (ms >= 0) {
+      a = std::make_unique<dad::DistArray<double>>(src, ms);
+      a->fill(value);
+    }
+    if (md >= 0) b = std::make_unique<dad::DistArray<double>>(dst, md);
+    auto s = sched::build_region_schedule(*src, *dst, ms, md);
+    const auto xfer = bench::closed_by(
+        gate, [&] { sched::execute<double>(s, a.get(), b.get(), c, 5); });
+    const auto t = bench::time_quartiles(kWarmup, 101, {xfer});
+    gate.arrive_and_wait();
+    const auto before = world.stats();
+    gate.arrive_and_wait();
+    xfer();
+    if (world.rank() == 0) {
+      const auto delta = world.stats() - before;
+      row.t = t[0];
+      row.msgs = delta.messages;
+      row.bytes = delta.bytes;
+    }
+    if (md >= 0)
+      b->for_each_owned([&](const Point& p, const double& v) {
+        if (v != value(p)) ++wrong;
+      });
+  });
+  if (wrong != 0) {
+    std::fprintf(stderr, "pipelined row: %ld elements differ\n",
+                 wrong.load());
+    std::exit(1);
+  }
+  return row;
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +370,6 @@ int main() {
   std::printf("=== Redistribution data plane: legacy copy path vs "
               "zero-copy pooled buffers ===\n");
   const Index extent = 24;  // 24^3 doubles = 110 KiB
-  const int reps = 5;
   struct Case { int m, n; };
   // The last two rows put 64 and 128 rank threads on the data plane — the
   // configurations the sharded mailbox and kernel dispatch are sized for.
@@ -304,25 +377,49 @@ int main() {
                                    {64, 64}};
   struct Row { int m, n; Result before, after; };
   std::vector<Row> rows;
+  const double elements = double(extent) * extent * extent;
+  const auto melem_s = [&](double seconds) {
+    return bench::fmt("%.2f", elements / seconds / 1e6);
+  };
   bench::Table t({"M", "N", "elements", "legacy_Melem/s", "zerocopy_Melem/s",
-                  "legacy_copies/elem", "zerocopy_copies/elem", "copy_ratio"});
+                  "zerocopy_q1", "zerocopy_q3", "legacy_copies/elem",
+                  "zerocopy_copies/elem", "copy_ratio"});
   for (const auto& cs : cases) {
-    Row r{cs.m, cs.n, run_case(cs.m, cs.n, extent, /*legacy=*/true, reps),
-          run_case(cs.m, cs.n, extent, /*legacy=*/false, reps)};
+    const auto arms = run_case(cs.m, cs.n, extent);
+    const Row r{cs.m, cs.n, arms[0], arms[1]};
     rows.push_back(r);
     t.row({std::to_string(r.m), std::to_string(r.n),
            std::to_string(extent * extent * extent),
-           bench::fmt("%.2f", r.before.elems_per_s / 1e6),
-           bench::fmt("%.2f", r.after.elems_per_s / 1e6),
+           melem_s(r.before.t.median), melem_s(r.after.t.median),
+           melem_s(r.after.t.q3), melem_s(r.after.t.q1),
            bench::fmt("%.2f", r.before.copies_per_elem),
            bench::fmt("%.2f", r.after.copies_per_elem),
            bench::fmt("%.2fx",
                       r.before.copies_per_elem / r.after.copies_per_elem)});
   }
   t.print();
-  std::printf("\nShape check: the zero-copy path performs exactly one "
-              "counted copy per element (the pack); the legacy path two "
-              "(pack + receive staging). The ratio must be >= 2.0x.\n");
+  std::printf("\nMedian throughput of %d single transfers per arm (arms "
+              "alternating rep by rep, %d warm-ups; q1 slower, q3 faster). "
+              "Shape check: the zero-copy path performs exactly one counted "
+              "copy per element (the pack); the legacy path two (pack + "
+              "receive staging). The ratio must be >= 2.0x.\n",
+              kReps, kWarmup);
+
+  std::printf("\n=== Pipelined transfer: bulk_stream's shape (chunk = %zu "
+              "KiB) ===\n",
+              sched::kChunkBytes >> 10);
+  const PipelinedRow pipe = run_pipelined();
+  bench::Table pt({"M", "N", "field", "col_block", "us", "q1_us", "q3_us",
+                   "msgs/xfer", "bytes/xfer"});
+  pt.row({std::to_string(pipe.m), std::to_string(pipe.n),
+          std::to_string(pipe.extent) + "x" + std::to_string(pipe.extent),
+          std::to_string(pipe.col_block), bench::fmt_us(pipe.t.median),
+          bench::fmt_us(pipe.t.q1), bench::fmt_us(pipe.t.q3),
+          std::to_string(pipe.msgs), std::to_string(pipe.bytes)});
+  pt.print();
+  std::printf("\nMedian and quartiles of 101 single transfers, each closed "
+              "by a thread barrier. CI checks msgs/xfer against the "
+              "closed-form chunk count.\n");
 
   std::printf("\n=== Strided pack/unpack kernels vs scalar reference "
               "(isa=%s) ===\n",
@@ -357,24 +454,36 @@ int main() {
   }
   std::fprintf(f, "{\n  \"bench\": \"redistribution\",\n"
                   "  \"extent\": %d,\n  \"reps\": %d,\n  \"cases\": [\n",
-               int(extent), reps);
+               int(extent), kReps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     std::fprintf(
         f,
         "    {\"m\": %d, \"n\": %d, \"elements\": %d,\n"
-        "     \"legacy\": {\"elems_per_s\": %.0f, "
-        "\"bytes_copied_per_elem\": %.2f},\n"
-        "     \"zerocopy\": {\"elems_per_s\": %.0f, "
-        "\"bytes_copied_per_elem\": %.2f},\n"
+        "     \"legacy\": {\"elems_per_s\": %.0f, \"q1\": %.0f, "
+        "\"q3\": %.0f, \"bytes_copied_per_elem\": %.2f},\n"
+        "     \"zerocopy\": {\"elems_per_s\": %.0f, \"q1\": %.0f, "
+        "\"q3\": %.0f, \"bytes_copied_per_elem\": %.2f},\n"
         "     \"copy_ratio\": %.2f}%s\n",
-        r.m, r.n, int(extent * extent * extent), r.before.elems_per_s,
-        r.before.copies_per_elem * sizeof(double), r.after.elems_per_s,
-        r.after.copies_per_elem * sizeof(double),
+        r.m, r.n, int(extent * extent * extent),
+        elements / r.before.t.median, elements / r.before.t.q3,
+        elements / r.before.t.q1, r.before.copies_per_elem * sizeof(double),
+        elements / r.after.t.median, elements / r.after.t.q3,
+        elements / r.after.t.q1, r.after.copies_per_elem * sizeof(double),
         r.before.copies_per_elem / r.after.copies_per_elem,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(
+      f,
+      "  \"pipelined\": {\"m\": %d, \"n\": %d, \"extent\": %d, "
+      "\"col_block\": %d, \"chunk_bytes\": %zu,\n"
+      "    \"us\": %.1f, \"q1_us\": %.1f, \"q3_us\": %.1f, "
+      "\"msgs_per_transfer\": %llu, \"bytes_per_transfer\": %llu},\n",
+      pipe.m, pipe.n, int(pipe.extent), int(pipe.col_block),
+      sched::kChunkBytes, pipe.t.median * 1e6, pipe.t.q1 * 1e6,
+      pipe.t.q3 * 1e6, static_cast<unsigned long long>(pipe.msgs),
+      static_cast<unsigned long long>(pipe.bytes));
   std::fprintf(f, "  \"kernels\": {\n    \"isa\": \"%s\",\n    \"cases\": [\n",
                mxn::rt::kernels::isa_name(mxn::rt::kernels::active_isa()));
   for (std::size_t i = 0; i < kcases.size(); ++i) {

@@ -7,6 +7,7 @@
 // are the reproduction targets — see EXPERIMENTS.md.
 
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -51,6 +52,23 @@ inline std::vector<Quartiles> time_quartiles(
     out.push_back({t[t.size() / 4], t[t.size() / 2], t[t.size() * 3 / 4]});
   }
   return out;
+}
+
+/// `xfer` (one rank's share of a transfer) closed by `gate`, a thread
+/// barrier over every rank, so a rep timed on any rank covers the whole
+/// transfer on all of them. A throwing rank drops out of the barrier, so
+/// the others are not left waiting on it.
+inline std::function<void()> closed_by(std::barrier<>& gate,
+                                       std::function<void()> xfer) {
+  return [&gate, xfer = std::move(xfer)] {
+    try {
+      xfer();
+    } catch (...) {
+      gate.arrive_and_drop();
+      throw;
+    }
+    gate.arrive_and_wait();
+  };
 }
 
 /// Median wall time of `reps` runs of `fn`, in seconds.

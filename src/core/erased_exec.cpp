@@ -28,12 +28,15 @@ MovedCounts execute_erased(const sched::RegionSchedule& s,
   }
   return sched::execute_bytes(
       s, width, c, tag,
-      [src, width](const sched::PeerRegions& pr, std::byte* out) {
-        sched::pack_regions(pr.regions, width, src->extract, out);
+      [src, width](const sched::PeerRegions& pr, std::size_t first,
+                   std::size_t last, std::byte* out) {
+        sched::pack_regions(sched::chunk_items(pr, first, last), width,
+                            src->extract, out);
       },
-      [dst, width](const sched::PeerRegions& pr,
-                   std::span<const std::byte> in) {
-        sched::unpack_regions(pr.regions, width, dst->inject, in.data());
+      [dst, width](const sched::PeerRegions& pr, std::size_t first,
+                   std::size_t last, std::span<const std::byte> in) {
+        sched::unpack_regions(sched::chunk_items(pr, first, last), width,
+                              dst->inject, in.data());
       });
 }
 

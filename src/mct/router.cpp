@@ -10,14 +10,11 @@ using rt::UsageError;
 
 namespace {
 
-/// One copy plan per schedule entry over `rank`'s storage under `gsm`,
-/// compiled once and replayed by every transfer. The rank's storage
-/// provenance is its segments in local storage order, with cumulative
-/// storage offsets (stride 1 — each segment is contiguous both in linear
-/// space and locally), sorted by linear start.
-std::vector<rt::kernels::RunPlan> compile_plans(
-    const GlobalSegMap& gsm, int rank,
-    const std::vector<sched::PeerSegments>& entries) {
+/// `rank`'s storage provenance under `gsm`: its segments in local storage
+/// order, with cumulative storage offsets (stride 1 — each segment is
+/// contiguous both in linear space and locally), sorted by linear start.
+std::vector<linear::ProvenancedSegment> storage_provenance(
+    const GlobalSegMap& gsm, int rank) {
   std::vector<linear::ProvenancedSegment> prov;
   Index off = 0;
   for (const auto& s : gsm.segs_of(rank)) {
@@ -26,11 +23,7 @@ std::vector<rt::kernels::RunPlan> compile_plans(
   }
   std::sort(prov.begin(), prov.end(),
             [](const auto& a, const auto& b) { return a.seg.lo < b.seg.lo; });
-  std::vector<rt::kernels::RunPlan> plans;
-  plans.reserve(entries.size());
-  for (const auto& e : entries)
-    plans.push_back(sched::compile_run_plan(prov, e.segs));
-  return plans;
+  return prov;
 }
 
 /// Swap GSMaps leader-to-leader and broadcast the peer's within the cohort.
@@ -50,28 +43,62 @@ GlobalSegMap exchange_gsm(RouterConfig& cfg, const GlobalSegMap& mine,
 
 }  // namespace
 
-void detail::FieldTransfer::run(const AttrVect* src, AttrVect* dst) const {
-  // The engine hands back schedule entries; an entry's index picks its plan.
+void detail::FieldTransfer::Plans::compile(
+    const std::vector<sched::PeerSegments>& entries,
+    const std::vector<linear::ProvenancedSegment>& prov, std::size_t w) {
+  if (!first.empty() && width == w) return;
+  width = w;
+  first.clear();
+  chunks.clear();
+  for (const auto& e : entries) {
+    first.push_back(chunks.size());
+    sched::for_each_chunk(e, w, [&](const sched::Chunk& c) {
+      chunks.push_back(
+          {c.first, c.elements,
+           sched::compile_run_plan(prov,
+                                   sched::chunk_items(e, c.first, c.last))});
+    });
+  }
+  first.push_back(chunks.size());
+}
+
+const detail::FieldTransfer::Plans::Chunk&
+detail::FieldTransfer::Plans::find(std::size_t e,
+                                   std::size_t first_item) const {
+  const auto end = chunks.begin() + static_cast<std::ptrdiff_t>(first[e + 1]);
+  return *std::partition_point(
+      chunks.begin() + static_cast<std::ptrdiff_t>(first[e]), end,
+      [first_item](const Chunk& c) { return c.first_item < first_item; });
+}
+
+void detail::FieldTransfer::run(const AttrVect* src, AttrVect* dst) {
+  // The engine hands back schedule entries and item ranges; an entry's
+  // index and the range's first item pick the chunk's plan.
   const int nf = (src != nullptr ? src : dst)->nfields();
+  const std::size_t width = static_cast<std::size_t>(nf) * sizeof(double);
+  send_plans.compile(sched.sends, send_prov, width);
+  recv_plans.compile(sched.recvs, recv_prov, width);
   sched::execute_bytes(
-      sched, static_cast<std::size_t>(nf) * sizeof(double), coupling, tag,
-      [&](const sched::PeerSegments& pe, std::byte* out) {
-        const auto& plan = send_plans[static_cast<std::size_t>(
-            &pe - sched.sends.data())];
+      sched, width, coupling, tag,
+      [&](const sched::PeerSegments& pe, std::size_t first, std::size_t,
+          std::byte* out) {
+        const auto& c = send_plans.find(
+            static_cast<std::size_t>(&pe - sched.sends.data()), first);
         const auto field_bytes =
-            static_cast<std::size_t>(pe.elements) * sizeof(double);
+            static_cast<std::size_t>(c.elements) * sizeof(double);
         for (int f = 0; f < nf; ++f)
-          plan.gather(src->field(f).data(), out + f * field_bytes,
-                      sizeof(double));
+          c.plan.gather(src->field(f).data(), out + f * field_bytes,
+                        sizeof(double));
       },
-      [&](const sched::PeerSegments& pe, std::span<const std::byte> in) {
-        const auto& plan = recv_plans[static_cast<std::size_t>(
-            &pe - sched.recvs.data())];
+      [&](const sched::PeerSegments& pe, std::size_t first, std::size_t,
+          std::span<const std::byte> in) {
+        const auto& c = recv_plans.find(
+            static_cast<std::size_t>(&pe - sched.recvs.data()), first);
         const auto field_bytes =
-            static_cast<std::size_t>(pe.elements) * sizeof(double);
+            static_cast<std::size_t>(c.elements) * sizeof(double);
         for (int f = 0; f < nf; ++f)
-          plan.scatter(dst->field(f).data(), in.data() + f * field_bytes,
-                       sizeof(double));
+          c.plan.scatter(dst->field(f).data(), in.data() + f * field_bytes,
+                         sizeof(double));
       });
 }
 
@@ -94,18 +121,18 @@ Router Router::build(RouterConfig cfg, const GlobalSegMap& mine,
   r.local_size_ = mine.local_size(me);
   auto entries = sched::sweep_owners(mine.footprint(me),
                                      peer_gsm.ownership_runs(), npeers);
-  auto plans = compile_plans(mine, me, entries);
+  auto prov = storage_provenance(mine, me);
   auto& x = r.xfer_;
   x.coupling.channel = std::move(cfg.channel);
   x.tag = cfg.tag + 1;
   if (is_source) {
     x.sched.sends = std::move(entries);
-    x.send_plans = std::move(plans);
+    x.send_prov = std::move(prov);
     x.coupling.src_ranks = std::move(cfg.my_ranks);
     x.coupling.dst_ranks = std::move(cfg.peer_ranks);
   } else {
     x.sched.recvs = std::move(entries);
-    x.recv_plans = std::move(plans);
+    x.recv_prov = std::move(prov);
     x.coupling.src_ranks = std::move(cfg.peer_ranks);
     x.coupling.dst_ranks = std::move(cfg.my_ranks);
   }
@@ -151,8 +178,8 @@ Rearranger::Rearranger(rt::Communicator cohort, const GlobalSegMap& src,
       sched::sweep_owners(src.footprint(me), dst.ownership_runs(), n);
   xfer_.sched.recvs =
       sched::sweep_owners(dst.footprint(me), src.ownership_runs(), n);
-  xfer_.send_plans = compile_plans(src, me, xfer_.sched.sends);
-  xfer_.recv_plans = compile_plans(dst, me, xfer_.sched.recvs);
+  xfer_.send_prov = storage_provenance(src, me);
+  xfer_.recv_prov = storage_provenance(dst, me);
   xfer_.coupling = sched::self_coupling(std::move(cohort));
   xfer_.tag = tag;
   src_size_ = src.local_size(me);

@@ -21,20 +21,44 @@ struct RouterConfig {
 
 namespace detail {
 
-/// The transfer both MCT movers replay: a fixed segment schedule, one
-/// compiled copy plan per entry, run through sched::execute_bytes. A peer's
-/// payload is its elements one field after another (element width
-/// nfields * sizeof(double)); each field is gathered or scattered by that
-/// entry's plan.
+/// The transfer both MCT movers replay: a fixed segment schedule run
+/// through sched::execute_bytes, with one compiled copy plan per chunk (an
+/// unsplit entry is one chunk). A chunk's payload is its elements one field
+/// after another (element width nfields * sizeof(double)); each field is
+/// gathered or scattered by that chunk's plan. The chunk cuts depend on the
+/// width, so the plans are compiled on the first transfer and again only
+/// when the field count changes.
 struct FieldTransfer {
+  /// One side's plans: chunk k of entry e is chunks[first[e] + k].
+  struct Plans {
+    struct Chunk {
+      std::size_t first_item = 0;
+      Index elements = 0;
+      rt::kernels::RunPlan plan;
+    };
+    std::size_t width = 0;           // element width the cuts were taken at
+    std::vector<std::size_t> first;  // per entry, then one past the last
+    std::vector<Chunk> chunks;
+
+    /// (Re)compile for `width` unless already compiled for it.
+    void compile(const std::vector<sched::PeerSegments>& entries,
+                 const std::vector<linear::ProvenancedSegment>& prov,
+                 std::size_t width);
+    /// The chunk of entry `e` that starts at item `first_item`.
+    [[nodiscard]] const Chunk& find(std::size_t e,
+                                    std::size_t first_item) const;
+  };
+
   sched::SegmentSchedule sched;
-  std::vector<rt::kernels::RunPlan> send_plans, recv_plans;
+  /// This rank's storage provenance on its sending / receiving side.
+  std::vector<linear::ProvenancedSegment> send_prov, recv_prov;
+  Plans send_plans, recv_plans;
   sched::Coupling coupling;
   int tag = 0;
 
   /// Send `src`'s share and drain into `dst` in arrival order. Either may
   /// be null when this rank has no entries on that side.
-  void run(const AttrVect* src, AttrVect* dst) const;
+  void run(const AttrVect* src, AttrVect* dst);
 };
 
 }  // namespace detail
@@ -63,7 +87,7 @@ class Router {
 
   [[nodiscard]] Index local_size() const { return local_size_; }
   [[nodiscard]] std::size_t peer_count() const {
-    return xfer_.send_plans.size() + xfer_.recv_plans.size();
+    return xfer_.sched.message_count();
   }
 
  private:

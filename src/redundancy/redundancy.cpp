@@ -33,23 +33,6 @@ using rt::UsageError;
 
 namespace detail {
 
-struct FieldMeta {
-  std::string name;
-  std::uint64_t elem_size = 0;
-  dad::DescriptorPtr descriptor;
-  std::uint64_t offset = 0;  // byte offset of the field in the owner's blob
-  std::uint64_t bytes = 0;
-};
-
-/// What a member knows about one partner: enough to rebuild and re-inject
-/// the partner's blob without the partner (serialized group metadata).
-struct PeerHeader {
-  std::uint64_t blob_size = 0;
-  int side = -1;
-  int cohort_rank = -1;
-  std::vector<FieldMeta> fields;
-};
-
 struct EncodeState {
   std::uint64_t epoch = 0;
   Layout layout;           // component layout at encode time
@@ -138,8 +121,10 @@ void xor_into(std::vector<std::byte>& acc, std::span<const std::byte> src) {
   for (std::size_t i = 0; i < src.size(); ++i) acc[i] ^= src[i];
 }
 
-std::vector<std::byte> pack_meta(int side, int cohort_rank,
-                                 const std::vector<detail::FieldMeta>& fields) {
+}  // namespace
+
+std::vector<std::byte> detail::pack_meta(int side, int cohort_rank,
+                                         const std::vector<FieldMeta>& fields) {
   rt::PackBuffer b;
   b.pack(static_cast<std::int32_t>(side));
   b.pack(static_cast<std::int32_t>(cohort_rank));
@@ -152,32 +137,51 @@ std::vector<std::byte> pack_meta(int side, int cohort_rank,
   return std::move(b).take();
 }
 
-detail::PeerHeader unpack_meta(std::span<const std::byte> bytes,
-                               std::uint64_t blob_size) {
+detail::PeerHeader detail::unpack_meta(std::span<const std::byte> bytes,
+                                       std::uint64_t blob_size) {
+  // Smallest encoding of one field: its name's length prefix and its
+  // element size (the descriptor adds more).
+  constexpr std::size_t kMinFieldBytes = 2 * sizeof(std::uint64_t);
   rt::UnpackBuffer u(bytes);
-  detail::PeerHeader h;
+  PeerHeader h;
   h.blob_size = blob_size;
   h.side = u.unpack<std::int32_t>();
+  if (h.side != 0 && h.side != 1)
+    throw UsageError("redundancy metadata: side " + std::to_string(h.side) +
+                     " is neither 0 nor 1");
   h.cohort_rank = u.unpack<std::int32_t>();
   const auto n = u.unpack<std::uint64_t>();
+  if (n > u.remaining() / kMinFieldBytes)
+    throw UsageError("redundancy metadata: field count " + std::to_string(n) +
+                     " exceeds what " + std::to_string(u.remaining()) +
+                     " bytes can hold");
   std::uint64_t off = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    detail::FieldMeta fm;
+    FieldMeta fm;
     fm.name = u.unpack_string();
     fm.elem_size = u.unpack<std::uint64_t>();
     fm.descriptor = std::make_shared<const dad::Descriptor>(
         dad::Descriptor::unpack(u));
+    if (h.cohort_rank < 0 || h.cohort_rank >= fm.descriptor->nranks())
+      throw UsageError("redundancy metadata: cohort rank " +
+                       std::to_string(h.cohort_rank) + " outside field '" +
+                       fm.name + "' (" +
+                       std::to_string(fm.descriptor->nranks()) + " ranks)");
+    const auto volume =
+        static_cast<std::uint64_t>(fm.descriptor->local_volume(h.cohort_rank));
+    // off <= blob_size holds here; the division keeps the product from
+    // wrapping.
+    if (fm.elem_size != 0 && volume > (blob_size - off) / fm.elem_size)
+      throw UsageError("redundancy metadata: field '" + fm.name +
+                       "' overruns the " + std::to_string(blob_size) +
+                       "-byte blob");
     fm.offset = off;
-    fm.bytes = static_cast<std::uint64_t>(
-                   fm.descriptor->local_volume(h.cohort_rank)) *
-               fm.elem_size;
+    fm.bytes = volume * fm.elem_size;
     off += fm.bytes;
     h.fields.push_back(std::move(fm));
   }
   return h;
 }
-
-}  // namespace
 
 FieldRegistration blob_backed_field(std::string name,
                                     dad::DescriptorPtr descriptor,
@@ -289,7 +293,7 @@ EncodeStats RedundancyGroup::encode() {
   const int m = static_cast<int>(st->group.size());
   const ChunkGeom gm = geom(total, m);
   const std::vector<std::byte> meta =
-      pack_meta(st->my_side, st->my_cohort, st->my_fields);
+      detail::pack_meta(st->my_side, st->my_cohort, st->my_fields);
 
   struct Outgoing {
     int dst = -1;
@@ -433,7 +437,7 @@ EncodeStats RedundancyGroup::encode() {
     }
     if (data_from.count(msg.src)) continue;  // duplicate: re-acked, not re-XORed
     data_from.insert(msg.src);
-    st->peers[msg.src] = unpack_meta(meta_bytes, blob_size);
+    st->peers[msg.src] = detail::unpack_meta(meta_bytes, blob_size);
     xor_into(st->parity, chunk);
   }
 

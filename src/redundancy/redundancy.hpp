@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,37 @@ core::FieldRegistration blob_backed_field(std::string name,
                                           int cohort_rank, rt::Buffer blob);
 
 namespace detail {
+
+struct FieldMeta {
+  std::string name;
+  std::uint64_t elem_size = 0;
+  dad::DescriptorPtr descriptor;
+  std::uint64_t offset = 0;  // byte offset of the field in the owner's blob
+  std::uint64_t bytes = 0;
+};
+
+/// What a member knows about one partner: enough to rebuild and re-inject
+/// the partner's blob without the partner (serialized group metadata).
+struct PeerHeader {
+  std::uint64_t blob_size = 0;
+  int side = -1;
+  int cohort_rank = -1;
+  std::vector<FieldMeta> fields;
+};
+
+/// The group metadata a member sends with its encode chunk.
+std::vector<std::byte> pack_meta(int side, int cohort_rank,
+                                 const std::vector<FieldMeta>& fields);
+
+/// Decode a partner's metadata for a blob of `blob_size` bytes. Hostile
+/// input is a UsageError (docs/FAULTS.md, decode contract): a side other
+/// than 0 or 1, a cohort rank outside a field descriptor's ranks, a field
+/// count the bytes cannot hold, or fields that overrun the blob.
+PeerHeader unpack_meta(std::span<const std::byte> bytes,
+                       std::uint64_t blob_size);
+
 struct EncodeState;
+
 }  // namespace detail
 
 /// Erasure-coded state redundancy for one MxNComponent (docs/REDUNDANCY.md).

@@ -1,14 +1,17 @@
 // Tests for the zero-copy data plane (docs/PERFORMANCE.md): the pooled
 // refcounted rt::Buffer (bucket reuse, adopt semantics, refcount release
 // across rank threads — the latter is what the TSan CI job watches),
-// O(1)-deep-copy shared-payload collectives, and arrival-order schedule
-// draining under seeded delay/reorder fault plans.
+// O(1)-deep-copy shared-payload collectives, arrival-order schedule
+// draining under seeded delay/reorder fault plans, and pipelined transfers
+// (chunk counts, wire checks, exactness under chaos).
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +22,7 @@
 #include "rt/runtime.hpp"
 #include "rt/serialize.hpp"
 #include "sched/executor.hpp"
+#include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
 namespace dad = mxn::dad;
@@ -353,6 +357,275 @@ TEST(ArrivalOrder, BackToBackTransfersOnOneTagStayAligned) {
           ASSERT_DOUBLE_EQ(v, 100.0 * round + p[0])
               << "round " << round << " at " << p[0];
         });
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined (chunked) transfers
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// bulk_stream's shape: an n x n double field from 2 source ranks (row
+/// blocks) to 2 destination ranks (block-cyclic columns of 8). At n = 512
+/// each source sends each destination 32 regions of 16 KiB (512 KiB), well
+/// above the split threshold; at n = 64 it sends 8 KiB, well below.
+constexpr Index kBulkN = 512;
+constexpr Index kBulkColBlock = 8;
+
+struct BulkShape {
+  dad::DescriptorPtr src, dst;
+};
+
+BulkShape bulk_shape(Index n) {
+  return {dad::make_regular(std::vector<AxisDist>{AxisDist::block(n, 2),
+                                                  AxisDist::collapsed(n)}),
+          dad::make_regular(std::vector<AxisDist>{
+              AxisDist::collapsed(n),
+              AxisDist::block_cyclic(n, 2, kBulkColBlock)})};
+}
+
+/// Payload bytes one source sends one destination in the bulk shape.
+std::size_t bulk_peer_bytes(Index n) {
+  return static_cast<std::size_t>(n / 2) * static_cast<std::size_t>(n / 2) *
+         sizeof(double);
+}
+
+/// Closed-form message count of one (source, destination) entry: one below
+/// 2 * kChunkBytes; above it, a chunk closes at the first whole region at
+/// or past kChunkBytes.
+std::size_t bulk_chunks_per_peer(Index n) {
+  if (bulk_peer_bytes(n) < 2 * sched::kChunkBytes) return 1;
+  const std::size_t region =
+      static_cast<std::size_t>(n / 2 * kBulkColBlock) * sizeof(double);
+  const std::size_t regions = static_cast<std::size_t>(n / 2 / kBulkColBlock);
+  const std::size_t per_chunk = (sched::kChunkBytes + region - 1) / region;
+  return (regions + per_chunk - 1) / per_chunk;
+}
+
+double bulk_value(const Point& p, int round) {
+  return 1e7 * round + 1000.0 * p[0] + p[1];
+}
+
+/// `rounds` back-to-back bulk transfers on one tag under `plan`; with
+/// `race`, source 1 sleeps before each send so source 0 runs a transfer
+/// ahead. Every destination element must be exact after every round.
+void run_bulk(std::optional<rt::FaultPlan> plan, int rounds, bool race) {
+  const BulkShape sh = bulk_shape(kBulkN);
+  ASSERT_GT(bulk_chunks_per_peer(kBulkN), 1u);
+  rt::SpawnOptions opts;
+  opts.deadlock_timeout_ms = 20000;
+  opts.faults = plan;
+  rt::spawn(4, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, 2, 2);
+    const int ms = c.my_src_rank();
+    const int md = c.my_dst_rank();
+    std::unique_ptr<dad::DistArray<double>> a, b;
+    if (ms >= 0) a = std::make_unique<dad::DistArray<double>>(sh.src, ms);
+    if (md >= 0) b = std::make_unique<dad::DistArray<double>>(sh.dst, md);
+    auto s = sched::build_region_schedule(*sh.src, *sh.dst, ms, md);
+    for (int round = 0; round < rounds; ++round) {
+      if (ms >= 0) {
+        a->fill([&](const Point& p) { return bulk_value(p, round); });
+        if (race && ms == 1)
+          std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      }
+      sched::execute<double>(s, a.get(), b.get(), c, 7);
+      if (md >= 0) {
+        long wrong = 0;
+        b->for_each_owned([&](const Point& p, const double& v) {
+          if (v != bulk_value(p, round)) ++wrong;
+        });
+        ASSERT_EQ(wrong, 0) << "round " << round;
+      }
+    }
+  }, opts);
+}
+
+}  // namespace
+
+TEST(ChunkedTransfer, ExactUnderSeededReorderPlan) {
+  run_bulk(rt::FaultPlan{.seed = 1234, .reorder = 0.75}, 1, false);
+}
+
+TEST(ChunkedTransfer, ExactUnderSeededDelayPlan) {
+  run_bulk(rt::FaultPlan{.seed = 99, .delay = 0.5, .delay_ms = 5}, 1, false);
+}
+
+// A source running a transfer ahead queues chunks of transfer k+1 while
+// transfer k is still draining; the owed-chunk predicate must leave them
+// queued for the next round.
+TEST(ChunkedTransfer, BackToBackTransfersOnOneTagStayAligned) {
+  run_bulk(std::nullopt, 6, true);
+}
+
+// Every rank sends (sources) and receives (destinations) exactly the
+// closed-form number of messages, and the wire carries the payload plus
+// a 4-byte index per chunk message: none below the threshold.
+TEST(ChunkedTransfer, MessageCountsMatchTheClosedForm) {
+  for (const Index n : {kBulkN, Index{64}}) {
+    const BulkShape sh = bulk_shape(n);
+    const std::size_t per_peer = bulk_chunks_per_peer(n);
+    const std::size_t header = per_peer > 1 ? sched::kChunkHeaderBytes : 0;
+    std::barrier<> gate(4);
+    rt::StatsSnapshot traffic;
+    rt::spawn(4, [&](rt::Communicator& world) {
+      auto c = sched::split_coupling(world, 2, 2);
+      const int ms = c.my_src_rank();
+      const int md = c.my_dst_rank();
+      std::unique_ptr<dad::DistArray<double>> a, b;
+      if (ms >= 0) {
+        a = std::make_unique<dad::DistArray<double>>(sh.src, ms);
+        a->fill([](const Point& p) { return bulk_value(p, 0); });
+      }
+      if (md >= 0) b = std::make_unique<dad::DistArray<double>>(sh.dst, md);
+      auto s = sched::build_region_schedule(*sh.src, *sh.dst, ms, md);
+      std::size_t packed = 0, unpacked = 0;
+      gate.arrive_and_wait();
+      const auto before = world.stats();
+      gate.arrive_and_wait();
+      sched::execute_bytes(
+          s, sizeof(double), c, 7,
+          [&](const sched::PeerRegions& pr, std::size_t first,
+              std::size_t last, std::byte* out) {
+            ++packed;
+            sched::pack_regions(sched::chunk_items(pr, first, last),
+                                sizeof(double), a->extractor(), out);
+          },
+          [&](const sched::PeerRegions& pr, std::size_t first,
+              std::size_t last, std::span<const std::byte> in) {
+            ++unpacked;
+            sched::unpack_regions(sched::chunk_items(pr, first, last),
+                                  sizeof(double), b->injector(), in.data());
+          });
+      gate.arrive_and_wait();
+      if (world.rank() == 0) traffic = world.stats() - before;
+      EXPECT_EQ(packed, ms >= 0 ? 2 * per_peer : 0) << "n=" << n;
+      EXPECT_EQ(unpacked, md >= 0 ? 2 * per_peer : 0) << "n=" << n;
+      if (md >= 0)
+        b->for_each_owned([&](const Point& p, const double& v) {
+          ASSERT_EQ(v, bulk_value(p, 0));
+        });
+    });
+    EXPECT_EQ(traffic.messages, 4 * per_peer) << "n=" << n;
+    EXPECT_EQ(traffic.bytes, 4 * (bulk_peer_bytes(n) + per_peer * header))
+        << "n=" << n;
+  }
+}
+
+namespace {
+
+/// Source 0 of the bulk shape sends destination 0 the messages `craft`
+/// builds from the chunks that destination expects from it, in place of a
+/// real transfer; destination 0's drain must raise UsageError.
+void expect_chunks_rejected(
+    const std::function<std::vector<rt::Buffer>(
+        const std::vector<sched::Chunk>&)>& craft) {
+  const BulkShape sh = bulk_shape(kBulkN);
+  rt::spawn(4, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, 2, 2);
+    if (c.my_src_rank() == 0) {
+      const auto s = sched::build_region_schedule(*sh.src, *sh.dst, -1, 0);
+      std::vector<sched::Chunk> chunks;
+      sched::for_each_chunk(s.recvs.at(0), sizeof(double),
+                            [&](const sched::Chunk& ch) {
+                              chunks.push_back(ch);
+                            });
+      ASSERT_GE(chunks.size(), 2u);
+      for (auto& msg : craft(chunks))
+        world.send(c.dst_ranks[0], 7, std::move(msg));
+    } else if (c.my_dst_rank() == 0) {
+      // A drain that accepts a bad chunk waits for more: time out typed
+      // (rt::TimeoutError, not a UsageError) instead of hanging.
+      c.recv_timeout_ms = 5000;
+      dad::DistArray<double> b(sh.dst, 0);
+      const auto s = sched::build_region_schedule(*sh.src, *sh.dst, -1, 0);
+      EXPECT_THROW(sched::execute<double>(s, nullptr, &b, c, 7),
+                   rt::UsageError);
+    }
+  });
+}
+
+/// A chunk message: its 4-byte index, then `bytes` payload bytes.
+rt::Buffer chunk_msg(std::uint32_t index, std::size_t bytes) {
+  rt::Buffer b = rt::Buffer::allocate(sched::kChunkHeaderBytes + bytes);
+  std::memset(b.mutable_data(), 0, b.size());
+  std::memcpy(b.mutable_data(), &index, sizeof index);
+  return b;
+}
+
+std::size_t chunk_bytes(const sched::Chunk& ch) {
+  return static_cast<std::size_t>(ch.elements) * sizeof(double);
+}
+
+}  // namespace
+
+TEST(ChunkedTransfer, OutOfRangeChunkIndexIsRejected) {
+  expect_chunks_rejected([](const std::vector<sched::Chunk>& chunks) {
+    std::vector<rt::Buffer> out;
+    out.push_back(chunk_msg(static_cast<std::uint32_t>(chunks.size()),
+                            chunk_bytes(chunks[0])));
+    return out;
+  });
+}
+
+TEST(ChunkedTransfer, RepeatedChunkIndexIsRejected) {
+  expect_chunks_rejected([](const std::vector<sched::Chunk>& chunks) {
+    std::vector<rt::Buffer> out;
+    out.push_back(chunk_msg(0, chunk_bytes(chunks[0])));
+    out.push_back(chunk_msg(0, chunk_bytes(chunks[0])));
+    return out;
+  });
+}
+
+TEST(ChunkedTransfer, WrongChunkSizeIsRejected) {
+  expect_chunks_rejected([](const std::vector<sched::Chunk>& chunks) {
+    std::vector<rt::Buffer> out;
+    out.push_back(chunk_msg(1, chunk_bytes(chunks[1]) - sizeof(double)));
+    return out;
+  });
+}
+
+TEST(ChunkedTransfer, MessageShorterThanItsHeaderIsRejected) {
+  expect_chunks_rejected([](const std::vector<sched::Chunk>&) {
+    std::vector<rt::Buffer> out;
+    out.push_back(rt::Buffer::allocate(sched::kChunkHeaderBytes - 1));
+    return out;
+  });
+}
+
+// The typed segment executor compiles one copy plan per chunk: bulk_stream's
+// shape, row-major on both sides, 8192 segments of 8 doubles per peer.
+TEST(ChunkedTransfer, SegmentScheduleIsExact) {
+  const BulkShape sh = bulk_shape(kBulkN);
+  const auto l = mxn::linear::Linearization::row_major(
+      2, Point{kBulkN, kBulkN});
+  rt::spawn(4, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, 2, 2);
+    const int ms = c.my_src_rank(), md = c.my_dst_rank();
+    std::unique_ptr<dad::DistArray<double>> a, b;
+    std::vector<mxn::linear::ProvenancedSegment> pa, pb;
+    if (ms >= 0) {
+      a = std::make_unique<dad::DistArray<double>>(sh.src, ms);
+      a->fill([](const Point& p) { return bulk_value(p, 3); });
+      pa = mxn::linear::footprint_with_provenance(*sh.src, ms, l);
+    }
+    if (md >= 0) {
+      b = std::make_unique<dad::DistArray<double>>(sh.dst, md);
+      pb = mxn::linear::footprint_with_provenance(*sh.dst, md, l);
+    }
+    auto s = sched::build_segment_schedule(*sh.src, l, *sh.dst, l, ms, md);
+    for (const auto& e : s.sends)
+      ASSERT_TRUE(sched::splits(e, sizeof(double)));
+    sched::execute<double>(s, a.get(), ms >= 0 ? &pa : nullptr, b.get(),
+                           md >= 0 ? &pb : nullptr, c, 9);
+    if (md >= 0) {
+      long wrong = 0;
+      b->for_each_owned([&](const Point& p, const double& v) {
+        if (v != bulk_value(p, 3)) ++wrong;
+      });
+      EXPECT_EQ(wrong, 0);
     }
   });
 }

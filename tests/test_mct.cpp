@@ -16,6 +16,7 @@
 #include "mct/router.hpp"
 #include "mct/sparse_matrix.hpp"
 #include "rt/runtime.hpp"
+#include "sched/executor.hpp"
 
 namespace mct = mxn::mct;
 namespace rt = mxn::rt;
@@ -426,6 +427,45 @@ TEST(Router, ExactUnderSeededDelayChaos) {
       }
     }
   }, opts);
+}
+
+TEST(Router, ChunkedMultiFieldTransferIsExact) {
+  // 2 -> 2 with 4 fields: each source sends each destination 16384 points
+  // x 32 bytes (512 KiB), above the split threshold, so every peer's
+  // payload goes out as several field-major chunks. A second transfer with
+  // one field (128 KiB per peer, unsplit) recompiles the chunk plans.
+  const int m = 2, n = 2, tag = 70;
+  const Index gsize = 65536;
+  auto src_map = GlobalSegMap::block(gsize, m);
+  auto dst_map = GlobalSegMap::cyclic(gsize, n, 16);
+  ASSERT_GE(static_cast<std::size_t>(gsize / (m * n)) * 4 * sizeof(double),
+            2 * mxn::sched::kChunkBytes);
+  const auto value = [](int step) {
+    return [step](int f, Index g) { return 1e7 * step + 1e6 * f + g; };
+  };
+  rt::spawn(m + n, [&](rt::Communicator& world) {
+    const bool is_src = world.rank() < m;
+    auto cohort = world.split(is_src ? 0 : 1, world.rank());
+    const int me = cohort.rank();
+    auto cfg = split_config(world, cohort, m, n, tag);
+    const std::vector<std::vector<std::string>> schemas = {
+        {"a", "b", "c", "d"}, {"a"}};
+    if (is_src) {
+      auto router = mct::Router::source(cfg, src_map);
+      for (int step = 0; step < 2; ++step) {
+        AttrVect av(schemas[step], src_map.local_size(me));
+        fill(av, src_map, me, value(step));
+        router.send(av);
+      }
+    } else {
+      auto router = mct::Router::destination(cfg, dst_map);
+      for (int step = 0; step < 2; ++step) {
+        AttrVect av(schemas[step], dst_map.local_size(me));
+        router.recv(av);
+        expect_exact(av, dst_map, me, value(step));
+      }
+    }
+  });
 }
 
 TEST(Rearranger, ExactUnderSeededDelayChaos) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -190,6 +191,86 @@ TEST(Redundancy, EncodeRejectsWriteOnlyFields) {
     red::RedundancyGroup group(comp, {.group_size = 2});
     EXPECT_THROW(group.encode(), rt::UsageError);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Metadata decoding (docs/FAULTS.md, decode contract)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One 8-byte field over desc_for(0, 4): 6 x 10 elements per rank.
+constexpr std::uint64_t kFieldBytes = 6 * kCols * sizeof(double);
+
+std::vector<red::detail::FieldMeta> one_field() {
+  red::detail::FieldMeta fm;
+  fm.name = "f";
+  fm.elem_size = sizeof(double);
+  fm.descriptor = desc_for(0, 4);
+  return {fm};
+}
+
+/// unpack_meta must reject `bytes` with a UsageError naming `what`.
+void expect_rejected(const std::vector<std::byte>& bytes,
+                     std::uint64_t blob_size, const std::string& what) {
+  try {
+    (void)red::detail::unpack_meta(bytes, blob_size);
+    ADD_FAILURE() << "accepted metadata with bad " << what;
+  } catch (const rt::UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(RedundancyMeta, WellFormedMetadataRoundTrips) {
+  const auto bytes = red::detail::pack_meta(1, 3, one_field());
+  const auto h = red::detail::unpack_meta(bytes, kFieldBytes);
+  EXPECT_EQ(h.side, 1);
+  EXPECT_EQ(h.cohort_rank, 3);
+  ASSERT_EQ(h.fields.size(), 1u);
+  EXPECT_EQ(h.fields[0].offset, 0u);
+  EXPECT_EQ(h.fields[0].bytes, kFieldBytes);
+}
+
+TEST(RedundancyMeta, CohortRankOutsideTheDescriptorIsRejected) {
+  // desc_for(0, 4) has ranks 0..3.
+  expect_rejected(red::detail::pack_meta(0, 4, one_field()), kFieldBytes,
+                  "cohort rank");
+  expect_rejected(red::detail::pack_meta(0, -1, one_field()), kFieldBytes,
+                  "cohort rank");
+}
+
+TEST(RedundancyMeta, SideOtherThanZeroOrOneIsRejected) {
+  expect_rejected(red::detail::pack_meta(2, 0, one_field()), kFieldBytes,
+                  "side");
+  expect_rejected(red::detail::pack_meta(-1, 0, one_field()), kFieldBytes,
+                  "side");
+}
+
+TEST(RedundancyMeta, FieldCountBeyondThePayloadIsRejected) {
+  // A real header whose field count is rewritten to 2^40: the count must be
+  // refused against the bytes that remain, before any field is decoded.
+  auto bytes = red::detail::pack_meta(0, 0, one_field());
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + 2 * sizeof(std::int32_t), &huge, sizeof huge);
+  expect_rejected(bytes, kFieldBytes, "field count");
+}
+
+TEST(RedundancyMeta, FieldsOverrunningTheBlobAreRejected) {
+  expect_rejected(red::detail::pack_meta(0, 0, one_field()), kFieldBytes - 1,
+                  "overruns");
+  auto two = one_field();
+  two.push_back(two[0]);
+  two[1].name = "g";
+  expect_rejected(red::detail::pack_meta(0, 0, two), kFieldBytes + 8,
+                  "overruns");
+  // A hostile element size must not wrap the offset arithmetic.
+  auto wide = one_field();
+  wide[0].elem_size = std::uint64_t{1} << 62;
+  expect_rejected(red::detail::pack_meta(0, 0, wide), kFieldBytes,
+                  "overruns");
 }
 
 TEST(Redundancy, RecoverRequiresADeadRank) {
