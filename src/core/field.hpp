@@ -1,9 +1,9 @@
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "dad/dist_array.hpp"
+#include "rt/buffer.hpp"
 
 namespace mxn::core {
 
@@ -20,18 +20,19 @@ enum class AccessMode { Read, Write, ReadWrite };
 }
 
 /// Type-erased handle onto one registered parallel data field: the DAD plus
-/// direct access to this process's patch storage, exposed as pack/unpack
-/// closures. This is the "short-circuit the DA package, go straight at the
-/// local memory" model §2.2.2 argues for.
+/// a view of this process's patch storage. This is the "short-circuit the
+/// DA package, go straight at the local memory" model §2.2.2 argues for.
+/// Whether transfers may read or write the storage is `mode`'s to say.
 struct FieldRegistration {
   std::string name;
   dad::DescriptorPtr descriptor;
-  std::size_t elem_size = 0;
   AccessMode mode = AccessMode::ReadWrite;
-  /// Copy `region` (inside one owned patch) out of local storage, row-major.
-  std::function<void(const dad::Patch&, std::byte*)> extract;
-  /// Inverse of extract.
-  std::function<void(const dad::Patch&, const std::byte*)> inject;
+  /// This process's storage: descriptor->patches_of(its cohort rank) at
+  /// their bases (intercomm's descriptor-less fields: the local patches).
+  dad::PatchStorage storage;
+  /// Holds the bytes `storage` points into when the registration owns them
+  /// (a redundancy blob-backed field); empty when a caller's array does.
+  rt::Buffer backing;
 };
 
 /// Bind a typed DistArray as a registerable field. The array must outlive
@@ -39,14 +40,8 @@ struct FieldRegistration {
 template <class T>
 FieldRegistration make_field(std::string name, dad::DistArray<T>* array,
                              AccessMode mode) {
-  FieldRegistration f;
-  f.name = std::move(name);
-  f.descriptor = array->descriptor_ptr();
-  f.elem_size = sizeof(T);
-  f.mode = mode;
-  if (readable(mode)) f.extract = array->extractor();
-  if (writable(mode)) f.inject = array->injector();
-  return f;
+  return {std::move(name), array->descriptor_ptr(), mode, array->storage(),
+          {}};
 }
 
 }  // namespace mxn::core

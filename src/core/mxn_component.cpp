@@ -65,7 +65,7 @@ void MxNComponent::register_field(const FieldRegistration& field) {
                      "by side members only");
   if (field.name.empty()) throw UsageError("field name must not be empty");
   if (!field.descriptor) throw UsageError("field needs a descriptor");
-  if (field.elem_size == 0) throw UsageError("field elem_size must be > 0");
+  if (field.storage.width == 0) throw UsageError("field width must be > 0");
   if (field.descriptor->nranks() != cohort_.size())
     throw UsageError("field '" + field.name + "' is decomposed over " +
                      std::to_string(field.descriptor->nranks()) +
@@ -278,21 +278,17 @@ bool MxNComponent::active(ConnectionId id) const {
 }
 
 std::vector<std::byte> MxNComponent::checkpoint_fields() const {
+  // A field's storage is the row-major concatenation of its patches at
+  // their bases, so its bytes are the checkpoint as they stand.
   rt::PackBuffer b;
   std::uint64_t count = 0;
   for (const auto& [name, f] : fields_)
-    if (f.extract) ++count;
+    if (readable(f.mode)) ++count;
   b.pack(count);
-  const int me = cohort_.is_null() ? -1 : cohort_.rank();  // spectator: 0 fields
   for (const auto& [name, f] : fields_) {
-    if (!f.extract) continue;  // write-only fields cannot be checkpointed
+    if (!readable(f.mode)) continue;  // write-only fields cannot be checkpointed
     b.pack(name);
-    std::vector<std::byte> local(
-        static_cast<std::size_t>(f.descriptor->local_volume(me)) *
-        f.elem_size);
-    sched::pack_regions(f.descriptor->patches_of(me), f.elem_size, f.extract,
-                        local.data());
-    b.pack(local);
+    b.pack_span(std::span<const std::byte>(f.storage.data, f.storage.bytes()));
   }
   return std::move(b).take();
 }
@@ -300,22 +296,17 @@ std::vector<std::byte> MxNComponent::checkpoint_fields() const {
 void MxNComponent::restore_fields(std::span<const std::byte> blob) {
   rt::UnpackBuffer u(blob);
   const auto count = u.unpack<std::uint64_t>();
-  const int me = cohort_.is_null() ? -1 : cohort_.rank();  // spectator: 0 fields
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto name = u.unpack_string();
     auto data = u.unpack_vector<std::byte>();
     const FieldRegistration& f = field(name);
-    if (!f.inject)
+    if (!writable(f.mode))
       throw UsageError("field '" + name + "' is not writable; cannot "
                        "restore it");
-    const std::size_t expect =
-        static_cast<std::size_t>(f.descriptor->local_volume(me)) *
-        f.elem_size;
-    if (data.size() != expect)
+    if (data.size() != f.storage.bytes())
       throw UsageError("checkpoint of field '" + name +
                        "' does not match the registered decomposition");
-    sched::unpack_regions(f.descriptor->patches_of(me), f.elem_size,
-                          f.inject, data.data());
+    if (!data.empty()) std::memcpy(f.storage.data, data.data(), data.size());
   }
 }
 

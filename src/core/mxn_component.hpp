@@ -92,7 +92,7 @@ struct Layout {
 struct RescaleStats {
   std::uint64_t epochs = 0;
   std::uint64_t migrated_bytes = 0;  // moved over the channel
-  std::uint64_t local_bytes = 0;     // same-rank fast path (extract→inject)
+  std::uint64_t local_bytes = 0;     // same-rank fast path (local copy)
   std::uint64_t retries = 0;         // migration attempts that were retried
   std::int64_t stall_ns = 0;         // this rank's wait at the epoch fences
   std::int64_t rescale_ns = 0;       // total wall time inside rescale()
@@ -101,7 +101,7 @@ struct RescaleStats {
 /// What one MxNComponent::relayout() moved, in this rank's local view.
 struct RelayoutStats {
   std::uint64_t migrated_bytes = 0;  // moved over the communicator
-  std::uint64_t local_bytes = 0;     // same-rank fast path (extract→inject)
+  std::uint64_t local_bytes = 0;     // same-rank fast path (local copy)
   std::uint64_t retries = 0;         // migration attempts that were retried
 };
 

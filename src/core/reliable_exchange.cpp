@@ -63,10 +63,10 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
       for (const auto& pr : s.sends) {
         const std::size_t nbytes =
             kSerialBytes +
-            static_cast<std::size_t>(pr.elements) * x.src->elem_size;
+            static_cast<std::size_t>(pr.elements) * x.src->storage.width;
         rt::Buffer buf = rt::Buffer::allocate(nbytes);
         put_serial(buf.mutable_data(), my_serial);
-        sched::pack_regions(pr.regions, x.src->elem_size, x.src->extract,
+        sched::pack_regions(pr.regions, x.src->storage,
                             buf.mutable_data() + kSerialBytes);
         rt::note_bytes_copied(nbytes);
         moved.elements += static_cast<std::uint64_t>(pr.elements);
@@ -92,7 +92,7 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
             if (ser > serial) serial = ser;
             if (m.payload.size() - kSerialBytes !=
                 static_cast<std::size_t>(s.recvs[i].elements) *
-                    x.dst->elem_size)
+                    x.dst->storage.width)
               throw UsageError("reliable transfer payload size mismatch");
             staged[i] = std::move(m.payload);
             serials[i] = ser;
@@ -126,7 +126,7 @@ std::optional<MovedCounts> run_reliable_attempt(const ReliableExchange& x) {
       }
       for (std::size_t i = 0; i < s.recvs.size(); ++i) {
         const auto& pr = s.recvs[i];
-        sched::unpack_regions(pr.regions, x.dst->elem_size, x.dst->inject,
+        sched::unpack_regions(pr.regions, x.dst->storage,
                               staged[i].data() + kSerialBytes);
         moved.elements += static_cast<std::uint64_t>(pr.elements);
         moved.bytes += staged[i].size() - kSerialBytes;

@@ -253,7 +253,7 @@ RelayoutStats MxNComponent::relayout(
                        "layout must not pass field registrations");
     if (f.name.empty()) throw UsageError("field name must not be empty");
     if (!f.descriptor) throw UsageError("field needs a descriptor");
-    if (f.elem_size == 0) throw UsageError("field elem_size must be > 0");
+    if (f.storage.width == 0) throw UsageError("field width must be > 0");
     const auto new_cohort_size =
         static_cast<int>(new_layout.side(new_side).size());
     if (f.descriptor->nranks() != new_cohort_size)
@@ -327,9 +327,10 @@ RelayoutStats MxNComponent::relayout(
 
       // 3. Element size and descriptor agreement over collectives.
       const auto old_elem = comm.bcast_value<std::uint64_t>(
-          me == root ? root_src.at(name).elem_size : 0, root);
+          me == root ? root_src.at(name).storage.width : 0, root);
       const auto new_elem = comm.bcast_value<std::uint64_t>(
-          me == new_ranks[0] ? incoming.at(name).elem_size : 0, new_ranks[0]);
+          me == new_ranks[0] ? incoming.at(name).storage.width : 0,
+          new_ranks[0]);
       if (old_elem != new_elem)
         throw UsageError("relayout: field '" + name +
                          "' changes element size across the relayout");
@@ -375,22 +376,20 @@ RelayoutStats MxNComponent::relayout(
         const bool takes_in = local || !delta.wire.recvs.empty();
         const bool wire =
             !delta.wire.sends.empty() || !delta.wire.recvs.empty();
-        if (oldf != nullptr && sends_out && !oldf->extract)
+        if (oldf != nullptr && sends_out && !readable(oldf->mode))
           throw UsageError("relayout: field '" + name +
                            "' is write-only; cannot migrate out of it");
-        if (newf != nullptr && takes_in && !newf->inject)
+        if (newf != nullptr && takes_in && !writable(newf->mode))
           throw UsageError("relayout: field '" + name +
                            "' is read-only; cannot migrate into it");
 
         if (delta.local_elements > 0) {
-          std::vector<std::byte> buf;
-          for (const auto& region : delta.local) {
-            buf.resize(static_cast<std::size_t>(region.volume()) * old_elem);
-            oldf->extract(region, buf.data());
-            newf->inject(region, buf.data());
-          }
-          st.local_bytes +=
-              static_cast<std::uint64_t>(delta.local_elements) * old_elem;
+          const std::size_t bytes =
+              static_cast<std::size_t>(delta.local_elements) * old_elem;
+          std::vector<std::byte> buf(bytes);
+          sched::pack_regions(delta.local, oldf->storage, buf.data());
+          sched::unpack_regions(delta.local, newf->storage, buf.data());
+          st.local_bytes += bytes;
         }
 
         sched::Coupling cpl;

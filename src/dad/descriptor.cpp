@@ -235,14 +235,6 @@ Point Descriptor::local_to_global(int rank, Index offset) const {
   return rank_patches_[rank][i].point_at(offset - bases[i]);
 }
 
-std::size_t Descriptor::patch_containing(int rank, const Patch& region) const {
-  const auto& patches = rank_patches_.at(rank);
-  for (std::size_t i = 0; i < patches.size(); ++i)
-    if (patches[i].contains(region)) return i;
-  throw UsageError("rank owns no patch containing region " +
-                   region.to_string());
-}
-
 bool Descriptor::same_shape(const Descriptor& other) const {
   if (ndim_ != other.ndim_) return false;
   for (int a = 0; a < ndim_; ++a)

@@ -70,6 +70,13 @@ class Descriptor {
     return rank_patch_bases_.at(rank).at(i);
   }
 
+  /// `rank`'s local storage at `data`, `width` bytes per element: its
+  /// patches at their patch_base offsets.
+  [[nodiscard]] PatchStorage storage(int rank, std::byte* data,
+                                     std::size_t width) const {
+    return {rank_patches_.at(rank), rank_patch_bases_.at(rank), data, width};
+  }
+
   /// Elements owned by `rank`.
   [[nodiscard]] Index local_volume(int rank) const {
     return rank_volumes_.at(rank);
@@ -113,11 +120,6 @@ class Descriptor {
 
   /// Inverse of global_to_local.
   [[nodiscard]] Point local_to_global(int rank, Index offset) const;
-
-  /// Index of the owned patch of `rank` that fully contains `region`;
-  /// throws if none does.
-  [[nodiscard]] std::size_t patch_containing(int rank,
-                                             const Patch& region) const;
 
   /// Same global index space (shape), regardless of distribution. Arrays on
   /// same-shape templates can be coupled by redistribution.

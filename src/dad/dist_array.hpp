@@ -44,14 +44,7 @@ class DistArray {
 
   template <class Fn>
   void for_each_owned(Fn&& fn) {
-    const auto& patches = desc_->patches_of(rank_);
-    for (std::size_t i = 0; i < patches.size(); ++i) {
-      Index off = desc_->patch_base(rank_, i);
-      patches[i].for_each_point([&](const Point& p) {
-        fn(p, data_[static_cast<std::size_t>(off)]);
-        ++off;
-      });
-    }
+    storage().template for_each_element<T>(fn);
   }
 
   template <class Fn>
@@ -60,35 +53,27 @@ class DistArray {
         [&](const Point& p, T& v) { fn(p, const_cast<const T&>(v)); });
   }
 
-  /// Copy `region` (which must lie inside a single owned patch — schedule
-  /// builders guarantee this by intersecting patch-by-patch) into `out` in
-  /// row-major region order: full-width slabs as one memcpy, thinner
+  /// This rank's storage as the view M×N transfers copy through.
+  [[nodiscard]] PatchStorage storage() {
+    return desc_->storage(rank_, reinterpret_cast<std::byte*>(data_.data()),
+                          sizeof(T));
+  }
+
+  /// Copy `region` (which must lie inside a single owned patch) into `out`
+  /// in row-major region order: full-width slabs as one memcpy, thinner
   /// regions (column blocks, halo columns) as block trains (gather_region).
+  /// A single-region convenience that finds the patch by a scan; schedule
+  /// paths go through storage() with the region's recorded patch.
   void extract(const Patch& region, T* out) const {
-    const std::size_t pi = desc_->patch_containing(rank_, region);
-    gather_region(desc_->patches_of(rank_)[pi], desc_->patch_base(rank_, pi),
-                  region, data_.data(), out, sizeof(T));
+    // The view is only read through here.
+    const PatchStorage s = const_cast<DistArray*>(this)->storage();
+    s.gather(s.find(region), region, out);
   }
 
   /// Inverse of extract.
   void inject(const Patch& region, const T* in) {
-    const std::size_t pi = desc_->patch_containing(rank_, region);
-    scatter_region(desc_->patches_of(rank_)[pi],
-                   desc_->patch_base(rank_, pi), region, data_.data(), in,
-                   sizeof(T));
-  }
-
-  /// extract/inject as byte-level (region, bytes) callables: the form
-  /// sched::pack_regions / unpack_regions and field registrations take.
-  [[nodiscard]] auto extractor() const {
-    return [this](const Patch& region, std::byte* out) {
-      extract(region, reinterpret_cast<T*>(out));
-    };
-  }
-  [[nodiscard]] auto injector() {
-    return [this](const Patch& region, const std::byte* in) {
-      inject(region, reinterpret_cast<const T*>(in));
-    };
+    const PatchStorage s = storage();
+    s.scatter(s.find(region), region, in);
   }
 
   [[nodiscard]] std::vector<T> extract(const Patch& region) const {

@@ -76,4 +76,30 @@ void scatter_region(const Patch& owned, Index base, const Patch& region,
   });
 }
 
+namespace {
+
+const Patch& holding(const PatchStorage& s, std::size_t i, const Patch& region) {
+  if (i >= s.patches.size() || !s.patches[i].contains(region))
+    throw rt::UsageError("region " + region.to_string() +
+                         " is not inside local patch " + std::to_string(i));
+  return s.patches[i];
+}
+
+}  // namespace
+
+void PatchStorage::gather(std::size_t i, const Patch& region, void* out) const {
+  gather_region(holding(*this, i, region), bases[i], region, data, out, width);
+}
+
+void PatchStorage::scatter(std::size_t i, const Patch& region,
+                           const void* in) const {
+  scatter_region(holding(*this, i, region), bases[i], region, data, in, width);
+}
+
+std::size_t PatchStorage::find(const Patch& region) const {
+  for (std::size_t i = 0; i < patches.size(); ++i)
+    if (patches[i].contains(region)) return i;
+  throw rt::UsageError("no local patch contains region " + region.to_string());
+}
+
 }  // namespace mxn::dad

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "rt/serialize.hpp"
@@ -174,5 +175,43 @@ void gather_region(const Patch& owned, Index base, const Patch& region,
 /// rt::kernels::scatter_run.
 void scatter_region(const Patch& owned, Index base, const Patch& region,
                     void* storage, const void* in, std::size_t width);
+
+/// One rank's local storage of an array: patch i's elements, row-major,
+/// start at element `bases[i]` of `data`, `width` bytes each. DistArray,
+/// intercomm::LocalArray and redundancy snapshot blobs all fit it, so one
+/// view serves every M×N copy path (§2.2.2). The view owns nothing.
+struct PatchStorage {
+  std::span<const Patch> patches;
+  std::span<const Index> bases;
+  std::byte* data = nullptr;
+  std::size_t width = 0;
+
+  /// Bytes held: the patches' total volume times the width. The storage is
+  /// exactly this many bytes from `data`.
+  [[nodiscard]] std::size_t bytes() const {
+    if (patches.empty()) return 0;
+    return static_cast<std::size_t>(bases.back() + patches.back().volume()) *
+           width;
+  }
+
+  /// gather_region / scatter_region of `region`, which must lie inside
+  /// patch `i` (checked, so a schedule of another layout fails here).
+  void gather(std::size_t i, const Patch& region, void* out) const;
+  void scatter(std::size_t i, const Patch& region, const void* in) const;
+
+  /// fn(point, element) for every element, read as a T, in storage order.
+  template <class T, class Fn>
+  void for_each_element(Fn&& fn) const {
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      T* e = reinterpret_cast<T*>(data) + bases[i];
+      patches[i].for_each_point([&](const Point& p) { fn(p, *e++); });
+    }
+  }
+
+  /// Index of the patch holding `region`, by a linear scan. For callers of
+  /// one region that names no patch (DistArray and LocalArray extract /
+  /// inject); schedule paths carry the index.
+  [[nodiscard]] std::size_t find(const Patch& region) const;
+};
 
 }  // namespace mxn::dad

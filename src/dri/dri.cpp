@@ -1,6 +1,5 @@
 #include "dri/dri.hpp"
 
-#include "dad/dist_array.hpp"
 #include "rt/error.hpp"
 
 namespace mxn::dri {
@@ -107,10 +106,12 @@ bool Reorg::step(std::span<const std::byte> local_src,
          (sent == 0 || sent + sends_[next_send_].bytes <= chunk_bytes)) {
     const Piece& p = sends_[next_send_];
     std::vector<std::byte> buf(p.bytes);
-    const std::size_t pi = src_desc_->patch_containing(my_src_, p.region);
-    dad::gather_region(src_desc_->patches_of(my_src_)[pi],
-                       src_desc_->patch_base(my_src_, pi), p.region,
-                       local_src.data(), buf.data(), elem_width_);
+    // The source view is only packed out of.
+    sched::pack_regions(
+        {&p.region, 1},
+        src_desc_->storage(my_src_, const_cast<std::byte*>(local_src.data()),
+                           elem_width_),
+        buf.data());
     comm_.send(p.peer_world, tag_, std::move(buf));
     sent += p.bytes;
     ++next_send_;
@@ -136,10 +137,10 @@ bool Reorg::step(std::span<const std::byte> local_src,
     }
     if (msg.payload.size() != p.bytes)
       throw UsageError("DRI piece size mismatch");
-    const std::size_t pi = dst_desc_->patch_containing(my_dst_, p.region);
-    dad::scatter_region(dst_desc_->patches_of(my_dst_)[pi],
-                        dst_desc_->patch_base(my_dst_, pi), p.region,
-                        local_dst.data(), msg.payload.data(), elem_width_);
+    sched::unpack_regions(
+        {&p.region, 1},
+        dst_desc_->storage(my_dst_, local_dst.data(), elem_width_),
+        msg.payload.data());
     received += p.bytes;
     ++next_recv_;
     if (received >= chunk_bytes) break;

@@ -130,7 +130,7 @@ class Reorg {
  private:
   struct Piece {
     int peer_world = 0;       // rank in comm
-    dad::Patch region;        // within the local side's patch
+    sched::Region region;     // names the local side's patch
     std::size_t bytes = 0;
   };
 

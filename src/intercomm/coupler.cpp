@@ -103,9 +103,8 @@ void Exporter::do_export(std::int64_t ts) {
   snap.per_peer.reserve(sched_.sends.size());
   for (const auto& pr : sched_.sends) {
     std::vector<std::byte> buf(static_cast<std::size_t>(pr.elements) *
-                               field_.elem_size);
-    sched::pack_regions(pr.regions, field_.elem_size, field_.extract,
-                        buf.data());
+                               field_.storage.width);
+    sched::pack_regions(pr.regions, field_.storage, buf.data());
     snap.per_peer.push_back(std::move(buf));
   }
   buffer_.push_back(std::move(snap));
@@ -263,6 +262,8 @@ Importer Importer::partitioned(EndpointConfig cfg,
 std::int64_t Importer::do_import(std::int64_t ts) {
   trace::Span span("ic.import", "ic", static_cast<std::uint64_t>(ts));
   if (closed_) throw UsageError("importer already closed");
+  if (!core::writable(field_.mode))
+    throw UsageError("field '" + field_.name + "' is not writable");
   if (cfg_.cohort.rank() == 0) {
     rt::PackBuffer b;
     b.pack(static_cast<std::uint8_t>(ReqKind::Request));
@@ -293,10 +294,9 @@ std::int64_t Importer::do_import(std::int64_t ts) {
     auto msg = cfg_.channel.recv(cfg_.peer_ranks.at(pr.peer),
                                  data_tag(cfg_.coupling_id));
     if (msg.payload.size() !=
-        static_cast<std::size_t>(pr.elements) * field_.elem_size)
+        static_cast<std::size_t>(pr.elements) * field_.storage.width)
       throw UsageError("import payload size mismatch");
-    sched::unpack_regions(pr.regions, field_.elem_size, field_.inject,
-                          msg.payload.data());
+    sched::unpack_regions(pr.regions, field_.storage, msg.payload.data());
     stats_.elements += static_cast<std::uint64_t>(pr.elements);
   }
   ++stats_.transfers;

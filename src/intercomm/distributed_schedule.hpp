@@ -15,8 +15,9 @@ namespace mxn::intercomm {
 ///   2. each destination rank intersects each source's patches with its own
 ///      (nested source-patch, dest-patch order — the same canonical order
 ///      the replicated builder uses) and returns to each source the region
-///      list it expects from it;
-///   3. each source adopts the returned lists as its send schedule.
+///      list it expects from it, with each region's patch indices;
+///   3. each source adopts the returned lists as its send schedule (a
+///      malformed reply is a UsageError; docs/FAULTS.md, decode contract).
 ///
 /// Ranks may hold both roles (self-coupling). The returned schedule is
 /// reusable across transfers, exactly like the replicated-descriptor one —

@@ -53,65 +53,48 @@ class LocalArray {
 
   template <class Fn>
   void fill(Fn&& fn) {
-    for (std::size_t i = 0; i < patches_.size(); ++i) {
-      Index off = bases_[i];
-      patches_[i].for_each_point([&](const Point& p) {
-        data_[static_cast<std::size_t>(off++)] = fn(p);
-      });
-    }
+    storage().template for_each_element<T>(
+        [&](const Point& p, T& v) { v = fn(p); });
   }
 
   template <class Fn>
   void for_each_owned(Fn&& fn) const {
-    for (std::size_t i = 0; i < patches_.size(); ++i) {
-      Index off = bases_[i];
-      patches_[i].for_each_point([&](const Point& p) {
-        fn(p, data_[static_cast<std::size_t>(off++)]);
-      });
-    }
+    const_cast<LocalArray*>(this)->storage().template for_each_element<T>(
+        [&](const Point& p, T& v) { fn(p, const_cast<const T&>(v)); });
   }
 
-  /// Copy `region` (inside one owned patch) out in row-major region order.
+  /// This rank's storage as the view transfers copy through.
+  [[nodiscard]] dad::PatchStorage storage() {
+    return {patches_, bases_, reinterpret_cast<std::byte*>(data_.data()),
+            sizeof(T)};
+  }
+
+  /// Copy `region` (inside one owned patch) out in row-major region order;
+  /// a single-region convenience that finds the patch by a scan.
   void extract(const Patch& region, T* out) const {
-    const std::size_t pi = containing(region);
-    dad::gather_region(patches_[pi], bases_[pi], region, data_.data(), out,
-                       sizeof(T));
+    // The view is only read through here.
+    const dad::PatchStorage s = const_cast<LocalArray*>(this)->storage();
+    s.gather(s.find(region), region, out);
   }
 
   void inject(const Patch& region, const T* in) {
-    const std::size_t pi = containing(region);
-    dad::scatter_region(patches_[pi], bases_[pi], region, data_.data(), in,
-                        sizeof(T));
+    const dad::PatchStorage s = storage();
+    s.scatter(s.find(region), region, in);
   }
 
  private:
-  [[nodiscard]] std::size_t containing(const Patch& region) const {
-    for (std::size_t i = 0; i < patches_.size(); ++i)
-      if (patches_[i].contains(region)) return i;
-    throw rt::UsageError("region not inside a single local patch");
-  }
-
   std::vector<Patch> patches_;
   std::vector<Index> bases_;
   std::vector<T> data_;
 };
 
 /// Bind a LocalArray as a type-erased field (descriptor-less: only the
-/// extract/inject closures and element size are meaningful).
+/// storage view is meaningful). The array must outlive the registration.
 template <class T>
 core::FieldRegistration make_local_field(std::string name,
                                          LocalArray<T>* array) {
-  core::FieldRegistration f;
-  f.name = std::move(name);
-  f.elem_size = sizeof(T);
-  f.mode = core::AccessMode::ReadWrite;
-  f.extract = [array](const Patch& region, std::byte* out) {
-    array->extract(region, reinterpret_cast<T*>(out));
-  };
-  f.inject = [array](const Patch& region, const std::byte* in) {
-    array->inject(region, reinterpret_cast<const T*>(in));
-  };
-  return f;
+  return {std::move(name), nullptr, core::AccessMode::ReadWrite,
+          array->storage(), {}};
 }
 
 }  // namespace mxn::intercomm

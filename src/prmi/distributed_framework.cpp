@@ -347,7 +347,7 @@ bool DistributedFramework::handle_invoke(Connection& conn, Servant& servant,
       throw UsageError("pull: parameter " + std::to_string(param_index) +
                        " of '" + m.name + "' is not a deferred parallel "
                        "input");
-    if (!target.descriptor || !target.inject)
+    if (!target.descriptor || !core::writable(target.mode))
       throw UsageError("pull target needs a descriptor and write access");
     // The cohort leader asks every participant to send; all ranks receive
     // their share.

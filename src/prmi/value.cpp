@@ -20,7 +20,7 @@ std::size_t elem_width(TypeKind k) {
 bool conforms(const Value& v, const TypeRef& t) {
   if (!t.parallel) return sidl::conforms(v, t);
   const auto* p = std::get_if<ParallelRef>(&v);
-  return p && p->binding && p->binding->elem_size == elem_width(t.elem) &&
+  return p && p->binding && p->binding->storage.width == elem_width(t.elem) &&
          p->binding->descriptor->ndim() == t.array_ndim;
 }
 

@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "dad/dist_array.hpp"
 #include "rt/serialize.hpp"
-#include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
 // Erasure-coded state redundancy (docs/REDUNDANCY.md): the shuffile/redset
@@ -188,20 +186,10 @@ FieldRegistration blob_backed_field(std::string name,
                                     std::size_t elem_size,
                                     std::uint64_t offset, int cohort_rank,
                                     Buffer blob) {
-  FieldRegistration f;
-  f.name = std::move(name);
-  f.descriptor = descriptor;
-  f.elem_size = elem_size;
-  f.mode = core::AccessMode::Read;
-  f.extract = [desc = std::move(descriptor), cohort_rank,
-               blob = std::move(blob), offset,
-               elem_size](const dad::Patch& region, std::byte* out) {
-    const std::size_t pi = desc->patch_containing(cohort_rank, region);
-    dad::gather_region(desc->patches_of(cohort_rank)[pi],
-                       desc->patch_base(cohort_rank, pi), region,
-                       blob.data() + offset, out, elem_size);
-  };
-  return f;
+  // Read-only: nothing writes through the view (every writer checks mode).
+  std::byte* data = const_cast<std::byte*>(blob.data()) + offset;
+  return {std::move(name), descriptor, core::AccessMode::Read,
+          descriptor->storage(cohort_rank, data, elem_size), std::move(blob)};
 }
 
 // --- construction -----------------------------------------------------------
@@ -254,24 +242,21 @@ EncodeStats RedundancyGroup::encode() {
   st->my_side = comp.side();
   st->my_cohort = comp.cohort().rank();
 
-  // 1. Snapshot: every registered field's local patches, concatenated in
-  // name order (std::map), each field's patches packed back to back
-  // (sched::pack_regions), which puts each patch at its descriptor base —
-  // the same local-storage arrangement DistArray uses, so the blob can be
-  // re-extracted per region by ownership-map lookups alone.
+  // 1. Snapshot: every registered field's local storage, concatenated in
+  // name order (std::map). A field's storage holds each patch at its
+  // descriptor base, so the blob is itself a field's storage
+  // (blob_backed_field) and is copied with one memcpy per field.
   std::uint64_t total = 0;
   for (const auto& [name, f] : comp.fields()) {
-    if (!f.extract || !core::readable(f.mode))
+    if (!core::readable(f.mode))
       throw UsageError("redundancy: field '" + name +
                        "' is write-only; cannot snapshot it");
     detail::FieldMeta fm;
     fm.name = name;
-    fm.elem_size = f.elem_size;
+    fm.elem_size = f.storage.width;
     fm.descriptor = f.descriptor;
     fm.offset = total;
-    fm.bytes = static_cast<std::uint64_t>(
-                   f.descriptor->local_volume(st->my_cohort)) *
-               f.elem_size;
+    fm.bytes = f.storage.bytes();
     total += fm.bytes;
     st->my_fields.push_back(std::move(fm));
   }
@@ -279,9 +264,9 @@ EncodeStats RedundancyGroup::encode() {
   if (total > 0) {
     std::byte* out = blob.mutable_data();
     for (const auto& fm : st->my_fields)
-      sched::pack_regions(fm.descriptor->patches_of(st->my_cohort),
-                          fm.elem_size, comp.fields().at(fm.name).extract,
-                          out + fm.offset);
+      if (fm.bytes != 0)
+        std::memcpy(out + fm.offset, comp.fields().at(fm.name).storage.data,
+                    fm.bytes);
   }
   st->blob = std::move(blob);
 

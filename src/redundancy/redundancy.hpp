@@ -49,15 +49,15 @@ struct RecoverStats {
   std::vector<int> dead_channel_ranks;  // in the OLD channel's numbering
   std::uint64_t rebuilt_bytes = 0;   // reconstructed blob bytes (at proxies)
   std::uint64_t migrated_bytes = 0;  // wire bytes of the relayout exchanges
-  std::uint64_t local_bytes = 0;     // extract->inject fast-path bytes
+  std::uint64_t local_bytes = 0;     // same-rank local-copy bytes
   std::int64_t recover_ns = 0;
 };
 
-/// Read-only FieldRegistration over a serialized blob: extract() copies a
-/// region out of a field's local storage held in `blob` from byte `offset`,
-/// laid out as `descriptor`'s patches for cohort slot `cohort_rank` (the
-/// storage DistArray::extract reads). This is how both survivor snapshots
-/// and rebuilt dead-rank blobs feed the relayout.
+/// Read-only FieldRegistration over a serialized blob: its storage view is
+/// a field's local storage held in `blob` from byte `offset`, laid out as
+/// `descriptor`'s patches for cohort slot `cohort_rank` (the layout a
+/// DistArray stores), and the registration keeps `blob` alive. This is how
+/// both survivor snapshots and rebuilt dead-rank blobs feed the relayout.
 core::FieldRegistration blob_backed_field(std::string name,
                                           dad::DescriptorPtr descriptor,
                                           std::size_t elem_size,

@@ -28,7 +28,7 @@ inline constexpr std::size_t kChunkHeaderBytes = sizeof(std::uint32_t);
 
 /// The items of a schedule entry, in payload order: regions of a
 /// PeerRegions, segments of a PeerSegments.
-inline std::span<const Patch> items_of(const PeerRegions& e) {
+inline std::span<const Region> items_of(const PeerRegions& e) {
   return e.regions;
 }
 inline std::span<const linear::Segment> items_of(const PeerSegments& e) {
@@ -409,10 +409,29 @@ MovedCounts execute_bytes(const Schedule& s, std::size_t width,
   return {elements, elements * width};
 }
 
-/// Execute a region schedule over typed arrays (execute_bytes with the
-/// pack_regions payload layout). `src_arr` may be null when this process is
-/// not in the source cohort, and `dst_arr` null when not in the destination
-/// cohort.
+/// The one region copy path of a transfer: execute_bytes with the
+/// pack_regions payload layout, packing sends out of `from` and unpacking
+/// receives into `to`. A view may be empty when this process has no
+/// entries on its side; when it has both, the widths must agree.
+inline MovedCounts execute_regions(const RegionSchedule& s,
+                                   const dad::PatchStorage& from,
+                                   const dad::PatchStorage& to,
+                                   const Coupling& c, int tag) {
+  return execute_bytes(
+      s, s.sends.empty() ? to.width : from.width, c, tag,
+      [&](const PeerRegions& pr, std::size_t first, std::size_t last,
+          std::byte* out) {
+        pack_regions(chunk_items(pr, first, last), from, out);
+      },
+      [&](const PeerRegions& pr, std::size_t first, std::size_t last,
+          std::span<const std::byte> in) {
+        unpack_regions(chunk_items(pr, first, last), to, in.data());
+      });
+}
+
+/// Execute a region schedule over typed arrays (execute_regions over their
+/// storage views). `src_arr` may be null when this process is not in the
+/// source cohort, and `dst_arr` null when not in the destination cohort.
 template <class T>
 void execute(const RegionSchedule& sched, const dad::DistArray<T>* src_arr,
              dad::DistArray<T>* dst_arr, const Coupling& c, int tag) {
@@ -420,18 +439,12 @@ void execute(const RegionSchedule& sched, const dad::DistArray<T>* src_arr,
     throw rt::UsageError("schedule has sends but no source array given");
   if (!sched.recvs.empty() && dst_arr == nullptr)
     throw rt::UsageError("schedule has recvs but no destination array given");
-  execute_bytes(
-      sched, sizeof(T), c, tag,
-      [&](const PeerRegions& pr, std::size_t first, std::size_t last,
-          std::byte* out) {
-        pack_regions(chunk_items(pr, first, last), sizeof(T),
-                     src_arr->extractor(), out);
-      },
-      [&](const PeerRegions& pr, std::size_t first, std::size_t last,
-          std::span<const std::byte> in) {
-        unpack_regions(chunk_items(pr, first, last), sizeof(T),
-                       dst_arr->injector(), in.data());
-      });
+  // The source view is only packed out of.
+  execute_regions(
+      sched,
+      src_arr ? const_cast<dad::DistArray<T>*>(src_arr)->storage()
+              : dad::PatchStorage{},
+      dst_arr ? dst_arr->storage() : dad::PatchStorage{}, c, tag);
 }
 
 /// Execute a segment schedule. `src_prov`/`dst_prov` are the provenanced

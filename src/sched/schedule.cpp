@@ -20,61 +20,54 @@ void check_shapes(const Descriptor& src, const Descriptor& dst) {
                      src.to_string() + " vs " + dst.to_string() + ")");
 }
 
+/// The one peer loop every build path shares. As a sender, this rank's
+/// source rank pairs with each destination rank; as a receiver, each source
+/// rank pairs with this rank's destination rank. With `prune`, pairs where
+/// a side owns nothing or the bounding boxes miss are skipped.
+/// `pair(s, d, sending, pr)` fills `pr` with the regions of source rank s
+/// and destination rank d in the canonical (source patch, destination
+/// patch) nesting; empty entries are dropped.
+template <class Pair>
+RegionSchedule for_each_pair(const Descriptor& src, const Descriptor& dst,
+                             int my_src_rank, int my_dst_rank, bool prune,
+                             Pair&& pair) {
+  RegionSchedule out;
+  const auto visit = [&](int s, int d, bool sending) {
+    if (prune && (src.local_volume(s) == 0 || dst.local_volume(d) == 0 ||
+                  !src.bounding_box(s).overlaps(dst.bounding_box(d))))
+      return;
+    PeerRegions pr;
+    pr.peer = sending ? d : s;
+    pair(s, d, sending, pr);
+    if (!pr.regions.empty())
+      (sending ? out.sends : out.recvs).push_back(std::move(pr));
+  };
+  if (my_src_rank >= 0)
+    for (int d = 0; d < dst.nranks(); ++d) visit(my_src_rank, d, true);
+  if (my_dst_rank >= 0)
+    for (int s = 0; s < src.nranks(); ++s) visit(s, my_dst_rank, false);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Naive path: nested patch-pair loops, the reference all others must match.
 // ---------------------------------------------------------------------------
 
 RegionSchedule build_naive(const Descriptor& src, const Descriptor& dst,
                            int my_src_rank, int my_dst_rank, bool prune) {
-  RegionSchedule out;
-
-  if (my_src_rank >= 0) {
-    // Sender side: my source patches against every destination rank's
-    // patches, nested (my patch, peer patch) — the canonical order.
-    const bool have_any = src.local_volume(my_src_rank) > 0;
-    for (int d = 0; d < dst.nranks(); ++d) {
-      if (prune && (!have_any || dst.local_volume(d) == 0 ||
-                    !src.bounding_box(my_src_rank)
-                         .overlaps(dst.bounding_box(d))))
-        continue;
-      PeerRegions pr;
-      pr.peer = d;
-      for (const auto& mine : src.patches_of(my_src_rank)) {
-        for (const auto& theirs : dst.patches_of(d)) {
-          if (auto r = Patch::intersect(mine, theirs)) {
-            pr.regions.push_back(*r);
-            pr.elements += r->volume();
-          }
-        }
-      }
-      if (!pr.regions.empty()) out.sends.push_back(std::move(pr));
-    }
-  }
-
-  if (my_dst_rank >= 0) {
-    // Receiver side: every source rank's patches against my destination
-    // patches, in the sender's packing order (source patch, dest patch).
-    const bool have_any = dst.local_volume(my_dst_rank) > 0;
-    for (int s = 0; s < src.nranks(); ++s) {
-      if (prune && (!have_any || src.local_volume(s) == 0 ||
-                    !src.bounding_box(s).overlaps(
-                        dst.bounding_box(my_dst_rank))))
-        continue;
-      PeerRegions pr;
-      pr.peer = s;
-      for (const auto& theirs : src.patches_of(s)) {
-        for (const auto& mine : dst.patches_of(my_dst_rank)) {
-          if (auto r = Patch::intersect(theirs, mine)) {
-            pr.regions.push_back(*r);
-            pr.elements += r->volume();
-          }
-        }
-      }
-      if (!pr.regions.empty()) out.recvs.push_back(std::move(pr));
-    }
-  }
-
-  return out;
+  return for_each_pair(
+      src, dst, my_src_rank, my_dst_rank, prune,
+      [&](int s, int d, bool, PeerRegions& pr) {
+        const auto& sp = src.patches_of(s);
+        const auto& dp = dst.patches_of(d);
+        for (std::size_t i = 0; i < sp.size(); ++i)
+          for (std::size_t j = 0; j < dp.size(); ++j)
+            if (auto r = Patch::intersect(sp[i], dp[j])) {
+              pr.regions.push_back({*r, static_cast<std::uint32_t>(i),
+                                    static_cast<std::uint32_t>(j)});
+              pr.elements += r->volume();
+            }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -85,7 +78,8 @@ RegionSchedule build_naive(const Descriptor& src, const Descriptor& dst,
 /// One axis' overlap pairs for a (source coord, dest coord) pair, grouped by
 /// source interval index. axis_overlaps emits (a_iv, b_iv)-lexicographically
 /// with A = the source side, so groups are contiguous runs with ascending
-/// a_iv, and within a group b_iv ascends.
+/// a_iv, and within a group b_iv ascends. `a_count` / `b_count` are the two
+/// coordinates' interval counts on this axis.
 struct AxisGroups {
   std::vector<dad::AxisOverlap> pairs;
   struct Group {
@@ -93,6 +87,7 @@ struct AxisGroups {
     std::size_t count = 0;
   };
   std::vector<Group> groups;
+  std::uint32_t a_count = 0, b_count = 0;
 
   void rebuild_groups() {
     groups.clear();
@@ -114,7 +109,8 @@ struct AxisGroups {
 /// naive order. For a fixed source patch the overlapping dest patches are
 /// the cross product of the per-axis b_iv choices within each group;
 /// enumerating those row-major matches the naive inner loop's filtered
-/// order. Every emitted region is non-empty by construction.
+/// order. Every emitted region is non-empty by construction, and its patch
+/// indices are the row-major combination of its per-axis interval indices.
 void emit_analytic(const std::array<AxisGroups, dad::kMaxNdim>& ax, int ndim,
                    PeerRegions& pr) {
   if (ndim == 1) {
@@ -124,12 +120,14 @@ void emit_analytic(const std::array<AxisGroups, dad::kMaxNdim>& ax, int ndim,
     // extents (measured ~6x slower).
     const auto& pairs = ax[0].pairs;
     pr.regions.resize(pairs.size());
-    Patch* out = pr.regions.data();
+    Region* out = pr.regions.data();
     Index elements = 0;
     for (const auto& p : pairs) {
       out->ndim = 1;
       out->lo[0] = p.lo;
       out->hi[0] = p.hi;
+      out->src_patch = static_cast<std::uint32_t>(p.a_iv);
+      out->dst_patch = static_cast<std::uint32_t>(p.b_iv);
       ++out;
       elements += p.hi - p.lo;
     }
@@ -140,13 +138,17 @@ void emit_analytic(const std::array<AxisGroups, dad::kMaxNdim>& ax, int ndim,
   while (true) {
     std::array<std::size_t, dad::kMaxNdim> m{};
     while (true) {
-      Patch& r = pr.regions.emplace_back();
+      Region& r = pr.regions.emplace_back();
       r.ndim = ndim;
       for (int a = 0; a < ndim; ++a) {
         const auto& grp = ax[a].groups[g[a]];
         const auto& p = ax[a].pairs[grp.begin + m[a]];
         r.lo[a] = p.lo;
         r.hi[a] = p.hi;
+        r.src_patch = r.src_patch * ax[a].a_count +
+                      static_cast<std::uint32_t>(p.a_iv);
+        r.dst_patch = r.dst_patch * ax[a].b_count +
+                      static_cast<std::uint32_t>(p.b_iv);
       }
       pr.elements += r.volume();
       int a = ndim - 1;
@@ -171,55 +173,27 @@ RegionSchedule build_analytic(const Descriptor& src, const Descriptor& dst,
                               int my_src_rank, int my_dst_rank) {
   static trace::Counter& hits = trace::counter("sched.fastpath.hits");
   hits.add(1);
-  RegionSchedule out;
   const int ndim = src.ndim();
   std::array<AxisGroups, dad::kMaxNdim> ax;
-
-  // Fill ax with the per-axis overlaps of (source rank, dest rank); false
-  // if some axis has none (the patch sets cannot intersect).
-  const auto pair_axes = [&](const std::array<int, dad::kMaxNdim>& sc,
-                             const std::array<int, dad::kMaxNdim>& dc) {
-    for (int a = 0; a < ndim; ++a) {
-      ax[a].pairs.clear();
-      dad::axis_overlaps(src.axes()[a], sc[a], dst.axes()[a], dc[a],
-                         ax[a].pairs);
-      if (ax[a].pairs.empty()) return false;
-      if (ndim > 1) ax[a].rebuild_groups();
-    }
-    return true;
-  };
-
-  if (my_src_rank >= 0) {
-    const bool have_any = src.local_volume(my_src_rank) > 0;
-    const auto my_coords = src.grid_coords(my_src_rank);
-    for (int d = 0; d < dst.nranks(); ++d) {
-      if (!have_any || dst.local_volume(d) == 0 ||
-          !src.bounding_box(my_src_rank).overlaps(dst.bounding_box(d)))
-        continue;
-      if (!pair_axes(my_coords, dst.grid_coords(d))) continue;
-      PeerRegions pr;
-      pr.peer = d;
-      emit_analytic(ax, ndim, pr);
-      if (!pr.regions.empty()) out.sends.push_back(std::move(pr));
-    }
-  }
-
-  if (my_dst_rank >= 0) {
-    const bool have_any = dst.local_volume(my_dst_rank) > 0;
-    const auto my_coords = dst.grid_coords(my_dst_rank);
-    for (int s = 0; s < src.nranks(); ++s) {
-      if (!have_any || src.local_volume(s) == 0 ||
-          !src.bounding_box(s).overlaps(dst.bounding_box(my_dst_rank)))
-        continue;
-      if (!pair_axes(src.grid_coords(s), my_coords)) continue;
-      PeerRegions pr;
-      pr.peer = s;
-      emit_analytic(ax, ndim, pr);
-      if (!pr.regions.empty()) out.recvs.push_back(std::move(pr));
-    }
-  }
-
-  return out;
+  return for_each_pair(
+      src, dst, my_src_rank, my_dst_rank, /*prune=*/true,
+      [&](int s, int d, bool, PeerRegions& pr) {
+        const auto sc = src.grid_coords(s);
+        const auto dc = dst.grid_coords(d);
+        for (int a = 0; a < ndim; ++a) {
+          const auto& sa = src.axes()[a];
+          const auto& da = dst.axes()[a];
+          ax[a].pairs.clear();
+          dad::axis_overlaps(sa, sc[a], da, dc[a], ax[a].pairs);
+          if (ax[a].pairs.empty()) return;  // the patch sets cannot meet
+          if (ndim > 1) ax[a].rebuild_groups();
+          ax[a].a_count =
+              static_cast<std::uint32_t>(sa.intervals_of(sc[a]).size());
+          ax[a].b_count =
+              static_cast<std::uint32_t>(da.intervals_of(dc[a]).size());
+        }
+        emit_analytic(ax, ndim, pr);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +234,8 @@ void indexed_peer_regions(const std::vector<Patch>& locals,
             [](const Pair& x, const Pair& y) { return x.key < y.key; });
   pr.regions.reserve(pr.regions.size() + found.size());
   for (const auto& f : found) {
-    pr.regions.push_back(f.region);
+    pr.regions.push_back({f.region, static_cast<std::uint32_t>(f.key >> 32),
+                          static_cast<std::uint32_t>(f.key)});
     pr.elements += f.region.volume();
   }
 }
@@ -269,42 +244,35 @@ RegionSchedule build_indexed(const Descriptor& src, const Descriptor& dst,
                              int my_src_rank, int my_dst_rank) {
   static trace::Counter& hits = trace::counter("sched.index.hits");
   hits.add(1);
-  RegionSchedule out;
-
-  if (my_src_rank >= 0) {
-    const auto& dst_index = dst.spatial_index();
-    const bool have_any = src.local_volume(my_src_rank) > 0;
-    const auto& mine = src.patches_of(my_src_rank);
-    for (int d = 0; d < dst.nranks(); ++d) {
-      if (!have_any || dst.local_volume(d) == 0 ||
-          !src.bounding_box(my_src_rank).overlaps(dst.bounding_box(d)))
-        continue;
-      PeerRegions pr;
-      pr.peer = d;
-      indexed_peer_regions(mine, dst_index[d], /*local_is_source=*/true, pr);
-      if (!pr.regions.empty()) out.sends.push_back(std::move(pr));
-    }
-  }
-
-  if (my_dst_rank >= 0) {
-    const auto& src_index = src.spatial_index();
-    const bool have_any = dst.local_volume(my_dst_rank) > 0;
-    const auto& mine = dst.patches_of(my_dst_rank);
-    for (int s = 0; s < src.nranks(); ++s) {
-      if (!have_any || src.local_volume(s) == 0 ||
-          !src.bounding_box(s).overlaps(dst.bounding_box(my_dst_rank)))
-        continue;
-      PeerRegions pr;
-      pr.peer = s;
-      indexed_peer_regions(mine, src_index[s], /*local_is_source=*/false, pr);
-      if (!pr.regions.empty()) out.recvs.push_back(std::move(pr));
-    }
-  }
-
-  return out;
+  return for_each_pair(
+      src, dst, my_src_rank, my_dst_rank, /*prune=*/true,
+      [&](int s, int d, bool sending, PeerRegions& pr) {
+        if (sending)
+          indexed_peer_regions(src.patches_of(s), dst.spatial_index()[d],
+                               /*local_is_source=*/true, pr);
+        else
+          indexed_peer_regions(dst.patches_of(d), src.spatial_index()[s],
+                               /*local_is_source=*/false, pr);
+      });
 }
 
 }  // namespace
+
+void pack_regions(std::span<const Region> regions,
+                  const dad::PatchStorage& from, std::byte* out) {
+  for (const Region& r : regions) {
+    from.gather(r.src_patch, r, out);
+    out += static_cast<std::size_t>(r.volume()) * from.width;
+  }
+}
+
+void unpack_regions(std::span<const Region> regions,
+                    const dad::PatchStorage& to, const std::byte* in) {
+  for (const Region& r : regions) {
+    to.scatter(r.dst_patch, r, in);
+    in += static_cast<std::size_t>(r.volume()) * to.width;
+  }
+}
 
 RegionSchedule build_region_schedule(const Descriptor& src,
                                      const Descriptor& dst, int my_src_rank,

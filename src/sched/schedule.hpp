@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -13,6 +14,17 @@ using dad::Descriptor;
 using dad::Index;
 using dad::Patch;
 
+/// One intersection of a source patch with a destination patch: the unit
+/// a region schedule moves. `src_patch` and `dst_patch` index the owning
+/// rank's patches_of list on each side (the patch the region lies in), so a
+/// copy indexes dad::PatchStorage directly instead of searching for it.
+struct Region : Patch {
+  std::uint32_t src_patch = 0;
+  std::uint32_t dst_patch = 0;
+
+  friend bool operator==(const Region&, const Region&) = default;
+};
+
 /// Everything one rank exchanges with one peer in a redistribution, as
 /// rectangular regions. Each region lies inside a single owned patch of the
 /// local side (senders: a source patch; receivers: a destination patch), so
@@ -22,33 +34,20 @@ using dad::Patch;
 /// exchange schedule data.
 struct PeerRegions {
   int peer = 0;  // rank in the other cohort
-  std::vector<Patch> regions;
+  std::vector<Region> regions;
   Index elements = 0;
 };
 
-/// The M×N payload layout, shared by every transfer path, checkpoint and
-/// snapshot blob: `regions` back to back, each row-major, `width` bytes per
-/// element. `extract(region, out)` copies one region out of local storage —
-/// a FieldRegistration closure or DistArray::extractor().
-template <class Extract>
-void pack_regions(std::span<const Patch> regions, std::size_t width,
-                  const Extract& extract, std::byte* out) {
-  for (const Patch& region : regions) {
-    extract(region, out);
-    out += static_cast<std::size_t>(region.volume()) * width;
-  }
-}
+/// The M×N payload layout, shared by every region transfer path: `regions`
+/// back to back, each row-major, `from.width` bytes per element, each
+/// copied out of source patch `src_patch` of `from`.
+void pack_regions(std::span<const Region> regions,
+                  const dad::PatchStorage& from, std::byte* out);
 
-/// Inverse of pack_regions: `inject(region, in)` copies one region into
-/// local storage.
-template <class Inject>
-void unpack_regions(std::span<const Patch> regions, std::size_t width,
-                    const Inject& inject, const std::byte* in) {
-  for (const Patch& region : regions) {
-    inject(region, in);
-    in += static_cast<std::size_t>(region.volume()) * width;
-  }
-}
+/// Inverse of pack_regions: each region is copied into destination patch
+/// `dst_patch` of `to`.
+void unpack_regions(std::span<const Region> regions,
+                    const dad::PatchStorage& to, const std::byte* in);
 
 /// One rank's local view of a communication schedule: the entries it sends
 /// as a source (peer = destination-cohort rank) and receives as a
@@ -79,13 +78,13 @@ struct PeerSchedule {
 /// (paper §2.3).
 struct RegionSchedule : PeerSchedule<PeerRegions> {
   /// Approximate resident size, for cache byte budgets: the struct plus the
-  /// capacity of every region vector (Patch is a flat POD).
+  /// capacity of every region vector (Region is a flat POD).
   [[nodiscard]] std::size_t byte_size() const {
     std::size_t b = sizeof(RegionSchedule);
     b += sends.capacity() * sizeof(PeerRegions);
     b += recvs.capacity() * sizeof(PeerRegions);
-    for (const auto& p : sends) b += p.regions.capacity() * sizeof(Patch);
-    for (const auto& p : recvs) b += p.regions.capacity() * sizeof(Patch);
+    for (const auto& p : sends) b += p.regions.capacity() * sizeof(Region);
+    for (const auto& p : recvs) b += p.regions.capacity() * sizeof(Region);
     return b;
   }
 };
@@ -126,13 +125,13 @@ RegionSchedule build_region_schedule(const Descriptor& src,
 /// One rank's share of an old→new *delta* redistribution — the migration
 /// step of an elastic rescale (docs/RESCALING.md). Regions whose old and
 /// new owner are the same physical (channel) rank never touch the wire:
-/// they are listed in `local` and moved by a direct extract→inject. The
+/// they are listed in `local` and moved by a local pack→unpack copy. The
 /// remainder is an ordinary RegionSchedule whose peers are cohort ranks of
 /// the opposite side of the delta (`wire.sends[i].peer` indexes the NEW
 /// cohort, `wire.recvs[i].peer` the OLD one).
 struct DeltaSchedule {
   RegionSchedule wire;
-  std::vector<Patch> local;  // regions owned here under BOTH descriptors
+  std::vector<Region> local;  // regions owned here under BOTH descriptors
   Index local_elements = 0;
 
   [[nodiscard]] Index wire_send_elements() const {

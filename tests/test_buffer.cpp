@@ -491,13 +491,13 @@ TEST(ChunkedTransfer, MessageCountsMatchTheClosedForm) {
               std::size_t last, std::byte* out) {
             ++packed;
             sched::pack_regions(sched::chunk_items(pr, first, last),
-                                sizeof(double), a->extractor(), out);
+                                a->storage(), out);
           },
           [&](const sched::PeerRegions& pr, std::size_t first,
               std::size_t last, std::span<const std::byte> in) {
             ++unpacked;
             sched::unpack_regions(sched::chunk_items(pr, first, last),
-                                  sizeof(double), b->injector(), in.data());
+                                  b->storage(), in.data());
           });
       gate.arrive_and_wait();
       if (world.rank() == 0) traffic = world.stats() - before;

@@ -525,24 +525,36 @@ TEST(MxNComponent, CheckpointRestoreRoundTrip) {
       AxisDist::block(10, m), AxisDist::collapsed(3)});
   auto ser = dad::make_regular(std::vector<AxisDist>{
       AxisDist::collapsed(10), AxisDist::collapsed(3)});
+  // Many-patch input: 8192 one-element patches per side-0 rank.
+  auto many = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(16384, m)});
+  auto many_ser =
+      dad::make_regular(std::vector<AxisDist>{AxisDist::collapsed(16384)});
   with_paired_mxn(m, n, [&](core::MxNComponent& mxn, int side,
                             rt::Communicator& cohort) {
     dad::DistArray<double> temp(side == 0 ? desc : ser, cohort.rank());
     dad::DistArray<double> salt(side == 0 ? desc : ser, cohort.rank());
+    dad::DistArray<double> cyc(side == 0 ? many : many_ser, cohort.rank());
     if (side == 0) {
       temp.fill([](const Point& p) { return 1.5 * p[0] + p[1]; });
       salt.fill([](const Point& p) { return 40.0 - p[0]; });
+      cyc.fill([](const Point& p) { return 0.5 * p[0] - 3.0; });
     }
     mxn.register_field(
         core::make_field("temp", &temp, core::AccessMode::ReadWrite));
     mxn.register_field(
         core::make_field("salt", &salt, core::AccessMode::ReadWrite));
+    mxn.register_field(
+        core::make_field("cyc", &cyc, core::AccessMode::ReadWrite));
 
     if (side == 0) {
       const auto blob = mxn.checkpoint_fields();
       for (auto& v : temp.local()) v = -777.0;  // simulated corruption
       for (auto& v : salt.local()) v = -888.0;
+      for (auto& v : cyc.local()) v = -999.0;
       mxn.restore_fields(blob);
+      cyc.for_each_owned([](const Point& p, const double& v) {
+        EXPECT_DOUBLE_EQ(v, 0.5 * p[0] - 3.0);
+      });
       temp.for_each_owned([](const Point& p, const double& v) {
         EXPECT_DOUBLE_EQ(v, 1.5 * p[0] + p[1]);
       });
@@ -550,6 +562,38 @@ TEST(MxNComponent, CheckpointRestoreRoundTrip) {
         EXPECT_DOUBLE_EQ(v, 40.0 - p[0]);
       });
     }
+  });
+}
+
+TEST(MxNComponent, ManyPatchFieldOverPlainAndReliableConnections) {
+  // 8192 one-element patches per rank on the cyclic side: "a" leaves it
+  // over a plain connection, "b" enters it over a reliable one.
+  const dad::Index extent = 16384;
+  auto cyc = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(extent, 2)});
+  auto blk = dad::make_regular(std::vector<AxisDist>{AxisDist::block(extent, 2)});
+  const auto value = [](const Point& p) { return 0.25 * p[0] + 3.0; };
+  with_paired_mxn(2, 2, [&](core::MxNComponent& mxn, int side,
+                            rt::Communicator& cohort) {
+    dad::DistArray<double> a(side == 0 ? cyc : blk, cohort.rank());
+    dad::DistArray<double> b(side == 0 ? cyc : blk, cohort.rank());
+    (side == 0 ? a : b).fill(value);
+    mxn.register_field(core::make_field("a", &a, core::AccessMode::ReadWrite));
+    mxn.register_field(core::make_field("b", &b, core::AccessMode::ReadWrite));
+    core::ConnectionSpec plain;
+    plain.src_field = plain.dst_field = "a";
+    plain.src_side = 0;
+    mxn.establish(plain);
+    core::ConnectionSpec reliable;
+    reliable.src_field = reliable.dst_field = "b";
+    reliable.src_side = 1;
+    reliable.reliable = true;
+    reliable.timeout_ms = 5000;
+    mxn.establish(reliable);
+    EXPECT_EQ(mxn.data_ready("a"), 1);
+    EXPECT_EQ(mxn.data_ready("b"), 1);
+    (side == 0 ? b : a).for_each_owned([&](const Point& p, const double& v) {
+      EXPECT_DOUBLE_EQ(v, value(p));
+    });
   });
 }
 

@@ -739,7 +739,8 @@ TEST(RegionCopy, EveryPathMatchesPerPointReferenceOnEveryTier) {
                                 width);
           });
           c.check_gather("blob_backed_field", [&](std::byte* out) {
-            blob_field.extract(region, out);
+            const auto& s = blob_field.storage;
+            s.gather(s.find(region), region, out);
           });
           if (width == 4)
             check_typed_callers<std::uint32_t>(c);

@@ -121,34 +121,38 @@ TEST(Dri, ChunkedGetPutLoopCompletes) {
 }
 
 TEST(Dri, ReorgPlanIsReusableAfterReset) {
-  rt::spawn(2, [](rt::Communicator& world) {
-    dri::Distribution src(dri::DataType::Integer, {10},
-                          {dri::Partition::block_over(2)});
-    dri::Distribution dst(dri::DataType::Integer, {10},
-                          {dri::Partition::cyclic_over(2)});
-    dri::Reorg reorg(world, src, dst, 21);
-    for (int round = 0; round < 3; ++round) {
-      std::vector<std::int32_t> sbuf(
-          static_cast<std::size_t>(src.local_count(world.rank())));
-      std::vector<std::int32_t> dbuf(
-          static_cast<std::size_t>(dst.local_count(world.rank())));
-      const auto& sd = *src.descriptor();
-      for (std::size_t l = 0; l < sbuf.size(); ++l)
-        sbuf[l] = 100 * round +
-                  static_cast<std::int32_t>(
-                      sd.local_to_global(world.rank(),
-                                         static_cast<dad::Index>(l))[0]);
-      reorg.run(std::as_bytes(std::span<const std::int32_t>(sbuf)),
-                std::as_writable_bytes(std::span<std::int32_t>(dbuf)));
-      const auto& dd = *dst.descriptor();
-      for (std::size_t l = 0; l < dbuf.size(); ++l)
-        EXPECT_EQ(dbuf[l],
-                  100 * round +
-                      static_cast<std::int32_t>(dd.local_to_global(
-                          world.rank(), static_cast<dad::Index>(l))[0]));
-      reorg.reset();
-    }
-  });
+  // 16384 is the many-patch input: 8192 one-element destination patches
+  // per rank.
+  for (const std::int64_t extent : {10, 16384}) {
+    rt::spawn(2, [extent](rt::Communicator& world) {
+      dri::Distribution src(dri::DataType::Integer, {extent},
+                            {dri::Partition::block_over(2)});
+      dri::Distribution dst(dri::DataType::Integer, {extent},
+                            {dri::Partition::cyclic_over(2)});
+      dri::Reorg reorg(world, src, dst, 21);
+      for (int round = 0; round < 3; ++round) {
+        std::vector<std::int32_t> sbuf(
+            static_cast<std::size_t>(src.local_count(world.rank())));
+        std::vector<std::int32_t> dbuf(
+            static_cast<std::size_t>(dst.local_count(world.rank())));
+        const auto& sd = *src.descriptor();
+        for (std::size_t l = 0; l < sbuf.size(); ++l)
+          sbuf[l] = 100 * round +
+                    static_cast<std::int32_t>(
+                        sd.local_to_global(world.rank(),
+                                           static_cast<dad::Index>(l))[0]);
+        reorg.run(std::as_bytes(std::span<const std::int32_t>(sbuf)),
+                  std::as_writable_bytes(std::span<std::int32_t>(dbuf)));
+        const auto& dd = *dst.descriptor();
+        for (std::size_t l = 0; l < dbuf.size(); ++l)
+          EXPECT_EQ(dbuf[l],
+                    100 * round +
+                        static_cast<std::int32_t>(dd.local_to_global(
+                            world.rank(), static_cast<dad::Index>(l))[0]));
+        reorg.reset();
+      }
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -135,6 +135,86 @@ TEST(PartitionedSchedule, MovesIrregularPatchesEndToEnd) {
   });
 }
 
+TEST(PartitionedSchedule, MovesManyPatchesEndToEnd) {
+  // The LocalArray path with 8192 one-element patches per rank: cyclic
+  // sources into block importers, then block sources into cyclic importers.
+  constexpr dad::Index kN = 16384;
+  const auto cyclic_patches = [](int r) {
+    std::vector<Patch> ps;
+    for (dad::Index i = r; i < kN; i += 2)
+      ps.push_back(Patch::make(1, Point{i}, Point{i + 1}));
+    return ps;
+  };
+  const auto block_patch = [](int r) {
+    return std::vector<Patch>{
+        Patch::make(1, Point{r * kN / 2}, Point{(r + 1) * kN / 2})};
+  };
+  const auto value = [](const Point& p) { return 2.0 * p[0] + 1.0; };
+  for (const bool cyclic_src : {true, false}) {
+    rt::spawn(4, [&](rt::Communicator& world) {
+      auto c = sched::split_coupling(world, 2, 2);
+      const int ms = c.my_src_rank(), md = c.my_dst_rank();
+      const int r = ms >= 0 ? ms : md;
+      ic::LocalArray<double> arr((ms >= 0) == cyclic_src ? cyclic_patches(r)
+                                                         : block_patch(r));
+      if (ms >= 0) arr.fill(value);
+      const std::vector<Patch> none;
+      auto s = ic::build_region_schedule_partitioned(
+          ms >= 0 ? arr.patches() : none, md >= 0 ? arr.patches() : none, c,
+          100);
+      auto field = ic::make_local_field("f", &arr);
+      core::execute_erased(s, ms >= 0 ? &field : nullptr,
+                           md >= 0 ? &field : nullptr, c, 110);
+      if (md >= 0)
+        arr.for_each_owned([&](const Point& p, const double& v) {
+          EXPECT_DOUBLE_EQ(v, value(p));
+        });
+    });
+  }
+}
+
+namespace {
+
+/// A source rank runs the partitioned builder against a destination that
+/// answers with `reply` in place of the regions it computed; the source
+/// must reject the reply with a UsageError.
+void expect_reply_rejected(std::vector<std::byte> reply) {
+  rt::spawn(2, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, 1, 1);
+    if (c.my_src_rank() == 0) {
+      EXPECT_THROW((void)ic::build_region_schedule_partitioned(
+                       {patch2(0, 4, 0, 4)}, {}, c, 90),
+                   rt::UsageError);
+    } else {
+      (void)world.recv(0, 90);  // the source's patch list
+      world.send(0, 91, std::move(reply));
+    }
+  });
+}
+
+std::vector<std::byte> one_region_reply(const Patch& region,
+                                        std::uint32_t src_patch) {
+  rt::PackBuffer b;
+  b.pack(std::uint64_t{1});
+  region.pack(b);
+  b.pack(src_patch);
+  b.pack(std::uint32_t{0});
+  return std::move(b).take();
+}
+
+}  // namespace
+
+TEST(PartitionedSchedule, RejectsHostileReply) {
+  // A region count no payload could hold, with no bytes behind it.
+  rt::PackBuffer huge;
+  huge.pack(std::uint64_t{1} << 40);
+  expect_reply_rejected(std::move(huge).take());
+  // A source patch index past the local patch list.
+  expect_reply_rejected(one_region_reply(patch2(0, 2, 0, 2), 1));
+  // A region outside the local patch it names.
+  expect_reply_rejected(one_region_reply(patch2(2, 6, 0, 2), 0));
+}
+
 // ---------------------------------------------------------------------------
 // Timestamp-coordinated import/export
 // ---------------------------------------------------------------------------

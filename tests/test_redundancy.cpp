@@ -180,6 +180,63 @@ TEST(Redundancy, SpectatorAdmittedByRescaleJoinsEncode) {
   });
 }
 
+TEST(Redundancy, ManyPatchEncodeKillRecoverIsExact) {
+  // Side 0 holds 8192 one-element patches per rank (cyclic over 2). Rank 1
+  // dies after the encode; the survivors rebuild its blob and splice side 0
+  // onto rank 0 alone, so the relayout reads the rebuilt blob-backed field
+  // and rank 0's own storage, region by region, through the named patches.
+  constexpr dad::Index kN = 16384;
+  const auto desc = [](int s, std::size_t n) {
+    const int p = static_cast<int>(n);
+    return dad::make_regular(std::vector<AxisDist>{
+        s == 0 ? AxisDist::cyclic(kN, p) : AxisDist::block(kN, p)});
+  };
+  const auto value = [](const Point& p) { return 0.5 * p[0] + 7.0; };
+  const core::Layout layout{{0, 1}, {2, 3}};
+  const core::Layout shrunk{{0}, {2, 3}};
+  std::atomic<int> exact{0};
+  EXPECT_THROW(
+      rt::spawn(
+          4,
+          [&](rt::Communicator& world) {
+            const int me = world.rank();
+            auto comp = core::make_elastic_mxn(world, layout);
+            const int side = layout.side_of(me);
+            const auto& ranks = layout.side(side);
+            dad::DistArray<double> arr(desc(side, ranks.size()),
+                                       index_in(ranks, me));
+            arr.fill(value);
+            comp->register_field(
+                core::make_field("f", &arr, core::AccessMode::ReadWrite));
+            red::RedundancyGroup group(comp,
+                                       {.group_size = 4, .timeout_ms = 3000});
+            group.encode();
+            world.barrier();
+            if (me == 1) throw rt::KilledError("rank 1 dies after the encode");
+            while (world.universe()->dead() == 0)
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+            const int new_side = shrunk.side_of(me);
+            const auto& nr = shrunk.side(new_side);
+            dad::DistArray<double> next(desc(new_side, nr.size()),
+                                        index_in(nr, me));
+            next.fill(sentinel_at);
+            std::vector<core::FieldRegistration> regs;
+            regs.push_back(
+                core::make_field("f", &next, core::AccessMode::ReadWrite));
+            group.recover(shrunk, std::move(regs), /*timeout_ms=*/8000,
+                          /*max_retries=*/4);
+            bool ok = true;
+            next.for_each_owned([&](const Point& p, const double& v) {
+              if (v != value(p)) ok = false;
+            });
+            if (ok) exact.fetch_add(1);
+          },
+          {.deadlock_timeout_ms = 30000, .default_recv_timeout_ms = 10000}),
+      rt::KilledError);
+  EXPECT_EQ(exact.load(), 3);
+}
+
 TEST(Redundancy, EncodeRejectsWriteOnlyFields) {
   rt::spawn(2, [](rt::Communicator& world) {
     const core::Layout layout{{0}, {1}};

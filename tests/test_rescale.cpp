@@ -330,6 +330,54 @@ TEST(Rescale, UnchangedSideKeepsRegistrations) {
   });
 }
 
+TEST(Rescale, ManyPatchGrowCopiesLocallyAndOverTheWire) {
+  // Side 0 grows from cyclic over {0,1} to cyclic over {0,1,3}: 8192 and
+  // then ~5461 one-element patches per rank. Elements whose owner stays
+  // put move by the local copy, the rest over the reliable exchange; both
+  // index the named patches on each end.
+  constexpr dad::Index kN = 16384;
+  rt::spawn(4, [](rt::Communicator& world) {
+    const int me = world.rank();
+    const core::Layout before{{0, 1}, {2}};  // rank 3 is a spectator
+    const core::Layout after{{0, 1, 3}, {2}};
+    const auto desc = [](int s, std::size_t n) {
+      const int p = static_cast<int>(n);
+      return dad::make_regular(std::vector<AxisDist>{
+          s == 0 ? AxisDist::cyclic(kN, p) : AxisDist::block(kN, p)});
+    };
+    const auto value = [](const Point& p) { return 3.0 * p[0] + 0.5; };
+    auto comp = core::make_elastic_mxn(world, before);
+    const int side = before.side_of(me);
+    std::unique_ptr<dad::DistArray<double>> arr;
+    if (side >= 0) {
+      const auto& ranks = before.side(side);
+      arr = std::make_unique<dad::DistArray<double>>(desc(side, ranks.size()),
+                                                     index_in(ranks, me));
+      arr->fill(value);
+      comp->register_field(
+          core::make_field("f", arr.get(), core::AccessMode::ReadWrite));
+    }
+    std::unique_ptr<dad::DistArray<double>> next;
+    std::vector<core::FieldRegistration> regs;
+    if (after.side_of(me) == 0) {  // side 1 keeps its registration
+      const auto& ranks = after.side(0);
+      next = std::make_unique<dad::DistArray<double>>(desc(0, ranks.size()),
+                                                      index_in(ranks, me));
+      regs.push_back(
+          core::make_field("f", next.get(), core::AccessMode::ReadWrite));
+    }
+    comp->rescale(after, std::move(regs));
+    if (next) {
+      next->for_each_owned([&](const Point& p, const double& v) {
+        EXPECT_DOUBLE_EQ(v, value(p));
+      });
+    }
+    if (me == 0 || me == 1) {
+      EXPECT_GT(comp->rescale_stats().local_bytes, 0u);
+    }
+  });
+}
+
 TEST(Rescale, OverlapShrinkMutualExchange) {
   // Shrinking a cyclic side into an overlapping subset makes the surviving
   // ranks exchange regions with EACH OTHER: with cyclic(24,3) → cyclic(24,2)

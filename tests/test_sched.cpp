@@ -178,6 +178,14 @@ TEST(Redistribute, BlockToCyclic) {
   run_redistribution(
       dad::make_regular(std::vector<AxisDist>{AxisDist::block(24, 4)}),
       dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 3)}));
+  // Many-patch input: 8192 one-element patches per rank, on the source side
+  // and then on the destination side, so regions index both ends.
+  const auto blk =
+      dad::make_regular(std::vector<AxisDist>{AxisDist::block(16384, 2)});
+  const auto cyc =
+      dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(16384, 2)});
+  run_redistribution(cyc, blk);
+  run_redistribution(blk, cyc);
 }
 
 TEST(Redistribute, GeneralizedBlockToExplicit) {

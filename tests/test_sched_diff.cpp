@@ -5,7 +5,10 @@
 // randomized sweep of distribution kinds, dimensionalities and cohort
 // sizes. Plus global conservation (sum of sends == sum of recvs == global
 // volume) and a differential check of the segment-schedule rewrite against
-// the per-peer footprint + intersect formulation it replaced.
+// the per-peer footprint + intersect formulation it replaced. Every region
+// of every schedule (each build path, delta schedules, the partitioned
+// builder) must also lie inside the source and destination patches its
+// recorded indices name.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +18,9 @@
 #include <thread>
 
 #include "dad/dist_array.hpp"
+#include "intercomm/distributed_schedule.hpp"
 #include "linear/linearization.hpp"
+#include "rt/runtime.hpp"
 #include "sched/schedule.hpp"
 #include "trace/trace.hpp"
 
@@ -119,9 +124,55 @@ DescriptorPtr random_descriptor(Rng& rng, int ndim, int nranks,
   return reg;
 }
 
+/// `region` lies inside patch `idx` of `patches`.
+void expect_in_patch(const std::vector<dad::Patch>& patches, std::uint32_t idx,
+                     const dad::Patch& region, const std::string& label) {
+  ASSERT_LT(idx, patches.size()) << label << " " << region.to_string();
+  EXPECT_TRUE(patches[idx].contains(region))
+      << label << " " << region.to_string() << " not in patch " << idx << " "
+      << patches[idx].to_string();
+}
+
+/// Every region of `s`, built for source rank `ms` and destination rank
+/// `md`, lies in the source patch its src_patch names and the destination
+/// patch its dst_patch names. `dst` may be null where the builder cannot
+/// know the destination's patches (partitioned sends).
+void expect_named_patches(const sched::RegionSchedule& s,
+                          const std::vector<dad::Patch>* mine_src,
+                          const std::vector<dad::Patch>* mine_dst,
+                          const Descriptor* src, const Descriptor* dst,
+                          const std::string& label) {
+  for (const auto& pr : s.sends)
+    for (const auto& r : pr.regions) {
+      expect_in_patch(*mine_src, r.src_patch, r, label + " send src");
+      if (dst)
+        expect_in_patch(dst->patches_of(pr.peer), r.dst_patch, r,
+                        label + " send dst");
+    }
+  for (const auto& pr : s.recvs)
+    for (const auto& r : pr.regions) {
+      if (src)
+        expect_in_patch(src->patches_of(pr.peer), r.src_patch, r,
+                        label + " recv src");
+      expect_in_patch(*mine_dst, r.dst_patch, r, label + " recv dst");
+    }
+}
+
+void expect_named_patches(const sched::RegionSchedule& s,
+                          const Descriptor& src, const Descriptor& dst,
+                          int ms, int md, const std::string& label) {
+  expect_named_patches(s, ms >= 0 ? &src.patches_of(ms) : nullptr,
+                       md >= 0 ? &dst.patches_of(md) : nullptr, &src, &dst,
+                       label);
+}
+
+/// `got` equals `want` region for region (patch indices included), and
+/// every region of `got` lies in the patches it names.
 void expect_identical(const sched::RegionSchedule& got,
-                      const sched::RegionSchedule& want,
+                      const sched::RegionSchedule& want, const Descriptor& src,
+                      const Descriptor& dst, int ms, int md,
                       const std::string& label) {
+  expect_named_patches(got, src, dst, ms, md, label);
   ASSERT_EQ(got.sends.size(), want.sends.size()) << label;
   ASSERT_EQ(got.recvs.size(), want.recvs.size()) << label;
   for (std::size_t k = 0; k < want.sends.size(); ++k) {
@@ -181,24 +232,55 @@ TEST(ScheduleDiff, AllPathsMatchNaiveReferenceAcrossRandomSweep) {
           const int md = r < co.n ? r : -1;
           const auto ref = sched::build_region_schedule(
               *src, *dst, ms, md, sched::BuildPath::Reference);
+          expect_named_patches(ref, *src, *dst, ms, md,
+                               tag + " [reference r" + std::to_string(r));
           expect_identical(sched::build_region_schedule(
                                *src, *dst, ms, md, sched::BuildPath::Naive),
-                           ref, tag + " [naive+prune r" + std::to_string(r));
+                           ref, *src, *dst, ms, md,
+                           tag + " [naive+prune r" + std::to_string(r));
           expect_identical(sched::build_region_schedule(
                                *src, *dst, ms, md, sched::BuildPath::Indexed),
-                           ref, tag + " [indexed r" + std::to_string(r));
+                           ref, *src, *dst, ms, md,
+                           tag + " [indexed r" + std::to_string(r));
           expect_identical(
               sched::build_region_schedule(*src, *dst, ms, md,
                                            sched::BuildPath::Auto),
-              ref, tag + " [auto r" + std::to_string(r));
+              ref, *src, *dst, ms, md, tag + " [auto r" + std::to_string(r));
           if (regular)
             expect_identical(
                 sched::build_region_schedule(*src, *dst, ms, md,
                                              sched::BuildPath::Analytic),
-                ref, tag + " [analytic r" + std::to_string(r));
+                ref, *src, *dst, ms, md,
+                tag + " [analytic r" + std::to_string(r));
         }
       }
     }
+  }
+}
+
+TEST(ScheduleDiff, PartitionedBuilderMatchesReferenceAndNamesPatches) {
+  // InterComm's partitioned builder sees only each rank's own patches; its
+  // destinations intersect and reply with the regions and their indices.
+  // Sources must end up with the reference schedule, indices included,
+  // and destinations with the reference's receive side.
+  Rng rng(5150);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int ndim = rand_int(rng, 1, 3);
+    const int m = rand_int(rng, 1, 4), n = rand_int(rng, 1, 4);
+    const Point extents = extents_for(rng, ndim);
+    const auto src = random_descriptor(rng, ndim, m, extents);
+    const auto dst = random_descriptor(rng, ndim, n, extents);
+    const std::string tag = src->to_string() + " -> " + dst->to_string();
+    mxn::rt::spawn(m + n, [&](mxn::rt::Communicator& world) {
+      auto c = sched::split_coupling(world, m, n);
+      const int ms = c.my_src_rank(), md = c.my_dst_rank();
+      const auto got = mxn::intercomm::build_region_schedule_partitioned(
+          ms >= 0 ? src->patches_of(ms) : std::vector<dad::Patch>{},
+          md >= 0 ? dst->patches_of(md) : std::vector<dad::Patch>{}, c, 80);
+      const auto ref = sched::build_region_schedule(
+          *src, *dst, ms, md, sched::BuildPath::Reference);
+      expect_identical(got, ref, *src, *dst, ms, md, tag + " [partitioned]");
+    });
   }
 }
 
@@ -416,10 +498,19 @@ TEST(DeltaSchedule, SplitsFullScheduleExactlyIntoLocalAndWire) {
           for (const auto& pr : delta.wire.recvs)
             EXPECT_NE(from_ranks.at(static_cast<std::size_t>(pr.peer)), ch);
 
-          // Local regions really are owned on both sides by this rank.
+          // Local regions really are owned on both sides by this rank, in
+          // the patches they name; wire regions name theirs too.
           Index local_vol = 0;
-          for (const auto& r : delta.local) local_vol += r.volume();
+          for (const auto& r : delta.local) {
+            local_vol += r.volume();
+            expect_in_patch(from->patches_of(my_from), r.src_patch, r,
+                            "delta local src");
+            expect_in_patch(to->patches_of(my_to), r.dst_patch, r,
+                            "delta local dst");
+          }
           EXPECT_EQ(local_vol, delta.local_elements);
+          expect_named_patches(delta.wire, *from, *to, my_from, my_to,
+                               "delta wire rank " + std::to_string(ch));
 
           moved_out += delta.wire_send_elements();
           moved_in += delta.wire_recv_elements();
