@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "core/field.hpp"
@@ -27,15 +29,12 @@ class LocalArray {
       : patches_(std::move(patches)) {
     bases_.reserve(patches_.size());
     Index acc = 0;
-    for (std::size_t i = 0; i < patches_.size(); ++i) {
-      if (patches_[i].empty())
-        throw rt::UsageError("local patches must be non-empty");
-      for (std::size_t j = 0; j < i; ++j)
-        if (patches_[i].overlaps(patches_[j]))
-          throw rt::UsageError("local patches must not overlap");
+    for (const Patch& p : patches_) {
+      if (p.empty()) throw rt::UsageError("local patches must be non-empty");
       bases_.push_back(acc);
-      acc += patches_[i].volume();
+      acc += p.volume();
     }
+    reject_overlap();
     data_.resize(static_cast<std::size_t>(acc));
   }
 
@@ -83,6 +82,52 @@ class LocalArray {
   }
 
  private:
+  /// Sort the patches by their low corner along one axis and sweep: a
+  /// patch can overlap only an earlier one whose high corner passes its
+  /// low one. The prefix max of the high corners finds the first such by
+  /// binary search, as the indexed schedule builder does. The axis is the
+  /// one the patches stack least deeply along (total extent over span), so
+  /// row- and column-distributed arrays alike cost O(P log P).
+  void reject_overlap() const {
+    if (patches_.empty()) return;
+    int ndim = patches_[0].ndim;
+    for (const Patch& p : patches_) ndim = std::min(ndim, p.ndim);
+    int ax = 0;
+    double best_depth = 0;
+    for (int a = 0; a < ndim; ++a) {
+      Index lo = patches_[0].lo[a], hi = patches_[0].hi[a], sum = 0;
+      for (const Patch& p : patches_) {
+        lo = std::min(lo, p.lo[a]);
+        hi = std::max(hi, p.hi[a]);
+        sum += p.extent(a);
+      }
+      const double depth =
+          static_cast<double>(sum) / static_cast<double>(hi - lo);
+      if (a == 0 || depth < best_depth) {
+        ax = a;
+        best_depth = depth;
+      }
+    }
+    std::vector<std::size_t> order(patches_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return patches_[a].lo[ax] < patches_[b].lo[ax];
+    });
+    std::vector<Index> max_hi(order.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const Patch& p = patches_[order[k]];
+      max_hi[k] = k == 0 ? p.hi[ax] : std::max(max_hi[k - 1], p.hi[ax]);
+      const auto first = static_cast<std::size_t>(
+          std::partition_point(max_hi.begin(),
+                               max_hi.begin() + static_cast<std::ptrdiff_t>(k),
+                               [&](Index h) { return h <= p.lo[ax]; }) -
+          max_hi.begin());
+      for (std::size_t j = first; j < k; ++j)
+        if (patches_[order[j]].overlaps(p))
+          throw rt::UsageError("local patches must not overlap");
+    }
+  }
+
   std::vector<Patch> patches_;
   std::vector<Index> bases_;
   std::vector<T> data_;

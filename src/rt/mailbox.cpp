@@ -1,6 +1,7 @@
 #include "rt/mailbox.hpp"
 
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "rt/error.hpp"
@@ -9,6 +10,14 @@
 namespace mxn::rt {
 
 namespace {
+
+/// How long a receive whose first scan missed keeps re-scanning before it
+/// parks on the doorbell. A PRMI reply comes back after the callee's
+/// dispatch and marshal, some microseconds; a window sweep of 10, 20, 50
+/// and 100 us is recorded in docs/PERFORMANCE.md "Polling receives".
+constexpr std::int64_t kPollWindowNs = 50'000;
+// Deadlines are whole milliseconds, so a poll ends before any of them.
+static_assert(kPollWindowNs < 1'000'000);
 
 bool envelope_matches(const Message& m, int src, int tag) {
   return (src == kAnySource || m.src == src) &&
@@ -103,11 +112,33 @@ std::optional<Message> Mailbox::scan(int src, int tag, const Pred* pred) {
   return std::nullopt;
 }
 
+std::optional<Message> Mailbox::poll(int src, int tag, const Pred* pred) {
+  if (!rank_threads_fit_cpus()) return std::nullopt;
+  const std::int64_t end = trace::now_ns() + kPollWindowNs;
+  while (!uni_->aborted()) {
+    // Yield, never spin on pause: the scheduler may run the sender (or the
+    // thread it wakes) on this CPU, and a spinner would only delay it.
+    std::this_thread::yield();
+    if (auto m = scan(src, tag, pred)) return m;
+    if (trace::now_ns() >= end) break;
+  }
+  return std::nullopt;
+}
+
 Message Mailbox::blocking_get(int src, int tag, const Pred* pred,
                               int timeout_ms) {
   uni_->fault_on_op(owner_);
   // Fast path: no doorbell traffic when the message already arrived.
   if (auto m = scan(src, tag, pred)) return std::move(*m);
+
+  // Polling and parking are one wait: rt.recv_wait_ns sees both.
+  static trace::Histogram& wait_ns = trace::histogram("rt.recv_wait_ns");
+  trace::Span wait("rt.wait", "rt", 0, &wait_ns);
+  if (auto m = poll(src, tag, pred)) {
+    static trace::Counter& polled = trace::counter("rt.recv.polled");
+    polled.add(1);
+    return std::move(*m);
+  }
 
   std::unique_lock<std::mutex> lock(bell_mu_);
   // Announce BEFORE scanning again (inside blocked_wait's predicate): with
@@ -118,8 +149,6 @@ Message Mailbox::blocking_get(int src, int tag, const Pred* pred,
   waiting_.store(true, std::memory_order_seq_cst);
   std::optional<Message> found;
   try {
-    static trace::Histogram& wait_ns = trace::histogram("rt.recv_wait_ns");
-    trace::Span wait("rt.wait", "rt", 0, &wait_ns);
     uni_->blocked_wait(
         lock, bell_cv_, "recv",
         [&] {

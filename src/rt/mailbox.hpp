@@ -28,6 +28,14 @@ namespace mxn::rt {
 /// per-lane message count, so an idle 64-peer inbox costs 64 atomic loads
 /// to scan, not 64 mutex acquisitions.
 ///
+/// A receive whose first scan misses polls before it blocks: it re-scans
+/// its lanes, yielding between scans, for a window of ~50 us, since a
+/// request/reply chain (PRMI) usually answers inside that and a futex
+/// sleep and wake costs more than the whole round trip. Polling runs only
+/// while the process's live rank threads fit the CPUs of its affinity mask
+/// (rank_threads_fit_cpus); an oversubscribed spawn parks at once.
+/// "rt.recv.polled" counts the receives a poll satisfied.
+///
 /// Consumer blocking uses a separate doorbell (mutex + condvar): a producer
 /// rings it only when the consumer has announced it is waiting. The
 /// waiting-flag / lane-count handshake is a seq_cst Dekker pair, so either
@@ -102,7 +110,13 @@ class Mailbox {
   /// Pop the first match across every lane `src` may legally occupy.
   std::optional<Message> scan(int src, int tag, const Pred* pred);
 
-  /// Shared body of get / get_if: fast-path scan, then doorbell wait.
+  /// Re-scan, yielding between scans, for a bounded window that ends
+  /// early on abort and is shorter than any receive deadline. Skipped
+  /// while the process's rank threads outnumber its CPUs.
+  std::optional<Message> poll(int src, int tag, const Pred* pred);
+
+  /// Shared body of get / get_if: fast-path scan, then a poll, then the
+  /// doorbell wait.
   Message blocking_get(int src, int tag, const Pred* pred, int timeout_ms);
 
   Universe* uni_;

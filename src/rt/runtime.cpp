@@ -33,6 +33,14 @@ void spawn(int nprocs, const std::function<void(Communicator&)>& fn,
   std::exception_ptr first_error;
   std::exception_ptr kill_error;
 
+  // Counted until every thread is joined, so a receive polls only while the
+  // rank threads of all running spawns fit the CPUs (Mailbox).
+  add_rank_threads(nprocs);
+  struct Uncount {
+    int n;
+    ~Uncount() { add_rank_threads(-n); }
+  } uncount{nprocs};
+
   std::vector<std::thread> threads;
   threads.reserve(nprocs);
   for (int r = 0; r < nprocs; ++r) {

@@ -1,5 +1,8 @@
 #include "rt/universe.hpp"
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -8,6 +11,8 @@
 namespace mxn::rt {
 
 namespace {
+std::atomic<int> rank_threads{0};
+
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -114,6 +119,26 @@ void Universe::unregister_mailbox(Mailbox* box) {
 void Universe::notify_all_mailboxes() {
   std::lock_guard lock(boxes_mu_);
   for (Mailbox* box : boxes_) box->notify();
+}
+
+int affinity_cpus() {
+  static const int cpus = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    // The process's mask is its main thread's (tid == pid), not that of
+    // whichever thread asks first: a rank thread may be pinned to one CPU.
+    if (sched_getaffinity(getpid(), sizeof(set), &set) != 0) return 1;
+    return std::max(1, CPU_COUNT(&set));
+  }();
+  return cpus;
+}
+
+void add_rank_threads(int delta) {
+  rank_threads.fetch_add(delta, std::memory_order_relaxed);
+}
+
+bool rank_threads_fit_cpus() {
+  return rank_threads.load(std::memory_order_relaxed) <= affinity_cpus();
 }
 
 }  // namespace mxn::rt

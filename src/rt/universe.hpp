@@ -221,4 +221,17 @@ class Universe {
   std::vector<Mailbox*> boxes_;
 };
 
+// --- process-wide CPU budget for polling receives -------------------------
+/// CPUs in this process's affinity mask (sched_getaffinity), read once.
+[[nodiscard]] int affinity_cpus();
+
+/// spawn() adds its rank threads when it starts and removes them once they
+/// are joined, so the count covers every spawn running at once.
+void add_rank_threads(int delta);
+
+/// True while the rank threads of every running spawn fit affinity_cpus():
+/// only then may a blocked receive poll before it parks (Mailbox), since a
+/// poller on an oversubscribed CPU steals the time its sender needs.
+[[nodiscard]] bool rank_threads_fit_cpus();
+
 }  // namespace mxn::rt

@@ -1,10 +1,56 @@
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "dad/dist_array.hpp"
 #include "sched/coupling.hpp"
 #include "sched/executor.hpp"
 
 namespace mxn::sched {
+
+namespace detail {
+
+/// Decode a segment list off the wire: a count, then (lo, hi) pairs. The
+/// count is checked against the bytes that remain (16 per segment) before
+/// anything is sized, and every segment must be non-empty and lie above the
+/// one before it (ascending, disjoint); anything else is a UsageError.
+inline std::vector<linear::Segment> unpack_wire_segments(rt::UnpackBuffer& u,
+                                                         const char* what) {
+  const auto n = u.unpack<std::uint64_t>();
+  if (n > u.remaining() / (2 * sizeof(Index)))
+    throw rt::UsageError(std::string("receiver-driven ") + what +
+                         ": segment count " + std::to_string(n) +
+                         " exceeds the payload");
+  std::vector<linear::Segment> segs(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    segs[i].lo = u.unpack<Index>();
+    segs[i].hi = u.unpack<Index>();
+    if (segs[i].lo >= segs[i].hi)
+      throw rt::UsageError(std::string("receiver-driven ") + what +
+                           ": empty or reversed segment");
+    if (i > 0 && segs[i].lo < segs[i - 1].hi)
+      throw rt::UsageError(std::string("receiver-driven ") + what +
+                           ": segments out of order or overlapping");
+  }
+  return segs;
+}
+
+/// True when every segment of `inner` lies inside one segment of `outer`
+/// (both ascending and disjoint, as unpack_wire_segments and footprints
+/// deliver them).
+inline bool segments_within(const std::vector<linear::Segment>& inner,
+                            const std::vector<linear::Segment>& outer) {
+  std::size_t j = 0;
+  for (const auto& s : inner) {
+    while (j < outer.size() && outer[j].hi <= s.lo) ++j;
+    if (j == outer.size() || s.lo < outer[j].lo || s.hi > outer[j].hi)
+      return false;
+  }
+  return true;
+}
+
+}  // namespace detail
 
 /// Schedule-free redistribution in the style of the Indiana MPI-IO M×N
 /// device (paper §2.2.1): each receiver broadcasts to the senders which
@@ -60,12 +106,7 @@ void redistribute_receiver_driven(const dad::DistArray<T>* src_arr,
     for (std::size_t i = 0; i < c.dst_ranks.size(); ++i) {
       auto msg = channel.recv(rt::kAnySource, request_tag);
       rt::UnpackBuffer u(msg.payload);
-      const auto n = u.unpack<std::uint64_t>();
-      std::vector<linear::Segment> needs(n);
-      for (auto& s : needs) {
-        s.lo = u.unpack<Index>();
-        s.hi = u.unpack<Index>();
-      }
+      const auto needs = detail::unpack_wire_segments(u, "request");
       auto common = linear::intersect(mine, needs);
 
       // Reply: segment list header followed by the elements in linear order,
@@ -94,14 +135,14 @@ void redistribute_receiver_driven(const dad::DistArray<T>* src_arr,
     for (std::size_t i = 0; i < c.src_ranks.size(); ++i) {
       auto msg = channel.recv(rt::kAnySource, data_tag);
       rt::UnpackBuffer u(msg.payload);
-      const auto n = u.unpack<std::uint64_t>();
-      std::vector<linear::Segment> segs(n);
+      const auto segs = detail::unpack_wire_segments(u, "reply");
+      // Inside our own request, so the scatter stays in our storage and
+      // the element count cannot overflow.
+      if (!detail::segments_within(segs, *my_needs_ptr))
+        throw rt::UsageError(
+            "receiver-driven reply: segment outside this rank's request");
       Index elements = 0;
-      for (auto& s : segs) {
-        s.lo = u.unpack<Index>();
-        s.hi = u.unpack<Index>();
-        elements += s.length();
-      }
+      for (const auto& s : segs) elements += s.length();
       // Scatter straight out of the payload — no intermediate vector.
       auto raw = u.unpack_raw(static_cast<std::size_t>(elements) * sizeof(T));
       unpack_segments<T>(prov, segs, dst_arr->local().data(), raw.data());

@@ -74,6 +74,28 @@ TEST(LocalArray, RejectsOverlapAndEmpty) {
   EXPECT_THROW(ic::LocalArray<int>({patch2(0, 0, 0, 2)}), rt::UsageError);
 }
 
+TEST(LocalArray, ManyPatchesStillRejectOneOverlap) {
+  // A cyclic rank's shape, 32768 one-element patches on every other row,
+  // then the same along columns.
+  for (const bool rows : {true, false}) {
+    const auto cell = [rows](dad::Index lo, dad::Index hi) {
+      return rows ? patch2(lo, hi, 0, 1) : patch2(0, 1, lo, hi);
+    };
+    std::vector<Patch> patches;
+    for (dad::Index i = 0; i < 32768; ++i)
+      patches.push_back(cell(2 * i, 2 * i + 1));
+    EXPECT_EQ(ic::LocalArray<int>(patches).local().size(), 32768u);
+    // One patch at the end of the list spans cells 999..1000 and overlaps
+    // only the patch at 1000, far from it in list order.
+    auto overlapping = patches;
+    overlapping.push_back(cell(999, 1001));
+    EXPECT_THROW(ic::LocalArray<int>{overlapping}, rt::UsageError);
+    // A free cell between two patches is no overlap.
+    patches.push_back(cell(999, 1000));
+    EXPECT_NO_THROW(ic::LocalArray<int>{patches});
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Distributed (partitioned-descriptor) schedule builder
 // ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "rt/runtime.hpp"
+#include "rt/universe.hpp"
+#include "trace/trace.hpp"
 
 namespace rt = mxn::rt;
 
@@ -641,6 +644,81 @@ TEST(RtEpochFence, SynchronizesAndReportsWait) {
     EXPECT_GE(w2, 0);
     if (world.rank() == 0) {
       for (int r = 0; r < 4; ++r) EXPECT_TRUE(world.probe(r, 7));
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Polling receives: a receive whose first scan misses re-scans its lanes for
+// a bounded window before it parks, while the rank threads fit the CPUs.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t polled() {
+  return mxn::trace::counter("rt.recv.polled").value();
+}
+
+/// Ranks 0 and 1 ping-pong `rounds` 8-byte messages; every rank then meets
+/// at a barrier, so the others stay live (and counted) throughout.
+void pingpong(rt::Communicator& comm, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    if (comm.rank() == 0) {
+      comm.send(1, 1, std::vector<std::byte>(8));
+      comm.recv(1, 2);
+    } else if (comm.rank() == 1) {
+      comm.recv(0, 1);
+      comm.send(0, 2, std::vector<std::byte>(8));
+    }
+  }
+  comm.barrier();
+}
+
+}  // namespace
+
+TEST(RtPolling, PingPongIsServedByPolling) {
+  if (rt::affinity_cpus() < 2) GTEST_SKIP() << "two ranks need two CPUs";
+  const std::uint64_t before = polled();
+  rt::spawn(2, [](rt::Communicator& comm) { pingpong(comm, 200); });
+  EXPECT_GT(polled(), before);
+}
+
+TEST(RtPolling, OversubscribedSpawnNeverPolls) {
+  const std::uint64_t before = polled();
+  rt::spawn(rt::affinity_cpus() + 1,
+            [](rt::Communicator& comm) { pingpong(comm, 200); });
+  EXPECT_EQ(polled(), before);
+}
+
+TEST(RtPolling, AbortWhilePollingUnwindsWithAbortError) {
+  std::atomic<bool> unwound{false};
+  EXPECT_THROW(
+      rt::spawn(2,
+                [&](rt::Communicator& comm) {
+                  if (comm.rank() == 1) {
+                    // Abort inside rank 0's poll window (50 us) more often
+                    // than not; either way its receive must unwind typed.
+                    const auto until = std::chrono::steady_clock::now() +
+                                       std::chrono::microseconds(20);
+                    while (std::chrono::steady_clock::now() < until) {
+                    }
+                    throw std::logic_error("boom");
+                  }
+                  try {
+                    comm.recv(1, 3);
+                  } catch (const rt::AbortError&) {
+                    unwound = true;
+                    throw;
+                  }
+                }),
+      std::logic_error);
+  EXPECT_TRUE(unwound.load());
+}
+
+TEST(RtPolling, OneMillisecondDeadlineStillTimesOut) {
+  rt::spawn(2, [](rt::Communicator& comm) {
+    if (comm.rank() == 0) {
+      EXPECT_THROW(comm.recv(1, 4, 1), rt::TimeoutError);
     }
   });
 }

@@ -438,6 +438,71 @@ TEST(ReceiverDriven, SelfCouplingRedistributes) {
   });
 }
 
+namespace {
+
+/// A wire segment list: `count` (which may lie), then the (lo, hi) pairs.
+std::vector<std::byte> wire_segments(
+    std::uint64_t count, const std::vector<std::pair<Index, Index>>& segs,
+    std::size_t trailing_bytes = 0) {
+  rt::PackBuffer b;
+  b.pack(count);
+  for (const auto& [lo, hi] : segs) {
+    b.pack(lo);
+    b.pack(hi);
+  }
+  (void)b.append_uninitialized(trailing_bytes);
+  return std::move(b).take();
+}
+
+/// 1 -> 1 receiver-driven transfer of 8 doubles on tags 40 (requests) and
+/// 41 (replies). With `hostile_request`, rank 1 sends those bytes to the
+/// real source rank 0 in place of its request; otherwise rank 0 answers the
+/// real receiver rank 1's request with `bytes`. The real side must reject
+/// them with a UsageError.
+void expect_receiver_driven_rejects(bool hostile_request,
+                                    std::vector<std::byte> bytes) {
+  auto d = dad::make_regular(std::vector<AxisDist>{AxisDist::block(8, 1)});
+  const auto l = lin::Linearization::row_major(1, Point{8});
+  rt::spawn(2, [&](rt::Communicator& world) {
+    auto c = sched::split_coupling(world, 1, 1);
+    const bool real = hostile_request ? c.my_src_rank() == 0
+                                      : c.my_dst_rank() == 0;
+    if (real) {
+      dad::DistArray<double> a(d, 0);
+      EXPECT_THROW(sched::redistribute_receiver_driven<double>(
+                       hostile_request ? &a : nullptr, l,
+                       hostile_request ? nullptr : &a, l, c, 40),
+                   rt::UsageError);
+    } else if (hostile_request) {
+      world.send(0, 40, std::move(bytes));
+    } else {
+      (void)world.recv(1, 40);  // the receiver's request
+      world.send(1, 41, std::move(bytes));
+    }
+  });
+}
+
+}  // namespace
+
+TEST(ReceiverDriven, RejectsHostileRequestAndReply) {
+  for (const bool request : {true, false}) {
+    // A segment count no payload could hold, with no bytes behind it.
+    expect_receiver_driven_rejects(request,
+                                   wire_segments(std::uint64_t{1} << 40, {}));
+    // A reversed segment, an empty one, and an overlapping pair.
+    expect_receiver_driven_rejects(request, wire_segments(1, {{6, 2}}));
+    expect_receiver_driven_rejects(request, wire_segments(1, {{3, 3}}));
+    expect_receiver_driven_rejects(request,
+                                   wire_segments(2, {{0, 4}, {2, 6}}));
+  }
+  // Segments out of order.
+  expect_receiver_driven_rejects(true, wire_segments(2, {{4, 6}, {0, 2}}));
+  // A reply segment outside the receiver's request [0, 8), with its
+  // elements attached so only the request check can catch it.
+  expect_receiver_driven_rejects(
+      false, wire_segments(1, {{6, 10}}, 4 * sizeof(double)));
+}
+
 // ---------------------------------------------------------------------------
 // Schedule cache
 // ---------------------------------------------------------------------------
