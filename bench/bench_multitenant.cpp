@@ -9,8 +9,11 @@
 //     (every connection pins its schedule via get_shared), the cache is
 //     budgeted far below the working set, and the steady state drives
 //     every tenant through Fabric::drain_tick. Reported: per-tenant-tick
-//     p50/p99 latency and aggregate transfer throughput; gated: tenant
-//     count, evictions > 0, resident cache bytes <= budget.
+//     p50/p99 latency, aggregate transfer throughput, revivals of evicted
+//     but pinned schedules, and the max-RSS growth of the establish phase
+//     per tenant; gated: tenant count, evictions > 0, resident cache bytes
+//     <= budget, and one build per template pair (misses <= fields: a
+//     connection whose schedule was evicted revives the pinned one).
 //
 //  2. Is the bounded footprint/ownership cache exact under budget? The
 //     same 512 descriptors are swept through footprint_cached under an
@@ -21,6 +24,8 @@
 //     (call_independent, one round trip per call) vs queued + one
 //     Fabric::drain_tick (one wire message per tenant). Gated:
 //     batched throughput >= 2x unbatched.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -48,6 +53,13 @@ using dad::Point;
 using prmi::Value;
 
 namespace {
+
+/// The process's peak resident set so far, in KiB.
+long max_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
 
 /// prefix + decimal i. Appending avoids GCC 12's false -Wrestrict on
 /// `"literal" + std::string&&`.
@@ -81,8 +93,8 @@ dad::DescriptorPtr dst_desc() {
 }
 
 struct Part1 {
-  std::size_t evictions = 0, bytes = 0, hits = 0, misses = 0;
-  double establish_s = 0, steady_s = 0;
+  std::size_t evictions = 0, bytes = 0, hits = 0, misses = 0, revived = 0;
+  double establish_s = 0, steady_s = 0, rss_kib_per_connection = 0;
   double p50_us = 0, p99_us = 0, throughput = 0;
 };
 
@@ -109,6 +121,8 @@ Part1 run_part1() {
     }
 
     fabric::Fabric fab;
+    world.barrier();
+    const long rss0 = max_rss_kib();
     const double t0 = bench::now_s();
     for (int c = 0; c < kConns; ++c) {
       core::ConnectionSpec spec;
@@ -118,6 +132,8 @@ Part1 run_part1() {
       fab.add_connection(numbered("t", c), mxn, mxn->establish(spec));
     }
     const double establish_s = bench::now_s() - t0;
+    world.barrier();
+    const long rss1 = max_rss_kib();  // every rank has established
 
     // Steady state: every tenant transfers once per drain tick. Rank 0
     // samples the per-tenant-tick latency (all ranks advance tenants in
@@ -141,6 +157,9 @@ Part1 run_part1() {
       out.bytes = st.bytes;
       out.hits = st.hits;
       out.misses = st.misses;
+      out.revived = st.revived;
+      out.rss_kib_per_connection =
+          static_cast<double>(rss1 - rss0) / kConns;
       out.establish_s = establish_s;
       out.steady_s = steady_s;
       out.p50_us = samples[samples.size() / 2] * 1e6;
@@ -279,12 +298,15 @@ int main() {
 
   const Part1 p1 = run_part1();
   bench::Table t1({"tenants", "establish_s", "steady_s", "p50_us", "p99_us",
-                   "xfers/s", "evictions", "cache_KiB"});
+                   "xfers/s", "evictions", "misses", "revived", "cache_KiB",
+                   "rss_KiB/conn"});
   t1.row({std::to_string(kConns), bench::fmt("%.2f", p1.establish_s),
           bench::fmt("%.2f", p1.steady_s), bench::fmt("%.1f", p1.p50_us),
           bench::fmt("%.1f", p1.p99_us), bench::fmt("%.0f", p1.throughput),
-          std::to_string(p1.evictions),
-          bench::fmt("%.1f", double(p1.bytes) / 1024)});
+          std::to_string(p1.evictions), std::to_string(p1.misses),
+          std::to_string(p1.revived),
+          bench::fmt("%.1f", double(p1.bytes) / 1024),
+          bench::fmt("%.2f", p1.rss_kib_per_connection)});
   t1.print();
 
   const Part2 p2 = run_part2();
@@ -318,12 +340,15 @@ int main() {
       "  \"connections\": {\"tenants\": %d, \"fields\": %d, \"ticks\": %d,\n"
       "    \"cache_budget_entries\": %zu, \"cache_budget_bytes\": %zu,\n"
       "    \"cache_bytes\": %zu, \"cache_evictions\": %zu,\n"
-      "    \"cache_hits\": %zu, \"cache_misses\": %zu,\n"
+      "    \"cache_hits\": %zu, \"cache_misses\": %zu, "
+      "\"cache_revived\": %zu,\n"
+      "    \"rss_kib_per_connection\": %.3f,\n"
       "    \"establish_s\": %.3f, \"steady_s\": %.3f,\n"
       "    \"p50_us\": %.2f, \"p99_us\": %.2f,\n"
       "    \"throughput_transfers_per_s\": %.1f},\n",
       kConns, kFields, kTicks, kCacheEntries, kCacheBytes, p1.bytes,
-      p1.evictions, p1.hits, p1.misses, p1.establish_s, p1.steady_s,
+      p1.evictions, p1.hits, p1.misses, p1.revived,
+      p1.rss_kib_per_connection, p1.establish_s, p1.steady_s,
       p1.p50_us, p1.p99_us, p1.throughput);
   std::fprintf(
       f,

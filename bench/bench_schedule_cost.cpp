@@ -10,8 +10,16 @@
 // ranks) pairs), the indexed path with patches x log + output, and the
 // analytic path with output only — near-flat in extent.
 //
-// Emits BENCH_schedule.json for CI; the gate asserts analytic cyclic<->block
-// at 1M elements is >= 10x faster than naive.
+// A second table times the indexed path on explicit cyclic(n,2) ->
+// cyclic(n,3) templates over an n x 4 array (patches stacked along axis 0,
+// "row") and a 4 x n one (stacked along axis 1, "column"), at n = 4096 and
+// 16384. The spatial index sweeps each rank's patches along the axis they
+// stack least deeply on, so both orientations grow near-linearly in n.
+//
+// Emits BENCH_schedule.json for CI; the gates assert analytic cyclic<->block
+// at 1M elements is >= 10x faster than naive, and that the column row grows
+// at most 8x from n = 4096 to 16384 (a sweep along the wrong axis is
+// quadratic, ~15x).
 
 #include <cstdio>
 #include <string>
@@ -103,6 +111,27 @@ double time_path(const dad::Descriptor& src, const dad::Descriptor& dst,
   });
 }
 
+/// Explicit cyclic(n, nranks) template over an n x 4 array (`axis` 0) or a
+/// 4 x n one (`axis` 1): the patches of a regular template, listed
+/// explicitly so the builders take the indexed path.
+dad::DescriptorPtr oriented_cyclic(int axis, Index n, int nranks) {
+  std::vector<AxisDist> axes;
+  for (int a = 0; a < 2; ++a)
+    axes.push_back(a == axis ? AxisDist::cyclic(n, nranks)
+                             : AxisDist::collapsed(4));
+  const auto reg = dad::make_regular(std::move(axes));
+  std::vector<dad::OwnedPatch> ps;
+  for (int r = 0; r < nranks; ++r)
+    for (const auto& p : reg->patches_of(r)) ps.push_back({p, r});
+  return dad::make_explicit(2, reg->extents(), std::move(ps), nranks);
+}
+
+struct OrientedRow {
+  const char* orientation;
+  Index n = 0;
+  double indexed_s = 0;
+};
+
 std::string fmt_cell(double seconds) {
   return seconds < 0 ? std::string("-") : bench::fmt_us(seconds);
 }
@@ -146,7 +175,23 @@ int main() {
   std::printf(
       "\nShape check: analytic build time is near-flat in extent while the "
       "naive reference grows with patch count; at 1M elements "
-      "cyclic<->block must be >= 10x apart.\n\ncounters:\n");
+      "cyclic<->block must be >= 10x apart.\n\n");
+
+  std::vector<OrientedRow> oriented;
+  bench::Table ot({"orientation", "n", "indexed_us"});
+  for (int axis = 0; axis < 2; ++axis)
+    for (const Index n : {Index(4096), Index(16384)}) {
+      const auto src = oriented_cyclic(axis, n, 2);
+      const auto dst = oriented_cyclic(axis, n, 3);
+      OrientedRow r{axis == 0 ? "row" : "column", n,
+                    time_path(*src, *dst, sched::BuildPath::Indexed)};
+      ot.row({r.orientation, std::to_string(n), bench::fmt_us(r.indexed_s)});
+      oriented.push_back(r);
+    }
+  ot.print();
+  std::printf(
+      "\nShape check: explicit cyclic(n,2) -> cyclic(n,3) over n x 4 (row) "
+      "and 4 x n (column); both grow near-linearly in n.\n\ncounters:\n");
   for (const auto& [name, value] : mxn::trace::counters())
     if (name.rfind("sched.", 0) == 0)
       std::printf("  %-24s %lld\n", name.c_str(),
@@ -184,6 +229,14 @@ int main() {
     obj += i + 1 < rows.size() ? "},\n" : "}\n";
     std::fprintf(f, "%s", obj.c_str());
   }
+  std::fprintf(f, "  ],\n  \"oriented\": [\n");
+  for (std::size_t i = 0; i < oriented.size(); ++i)
+    std::fprintf(f,
+                 "    {\"orientation\": \"%s\", \"n\": %lld, "
+                 "\"indexed_s\": %.9f}%s\n",
+                 oriented[i].orientation,
+                 static_cast<long long>(oriented[i].n), oriented[i].indexed_s,
+                 i + 1 < oriented.size() ? "," : "");
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_schedule.json\n");

@@ -155,10 +155,8 @@ ConnectionId MxNComponent::establish_impl(const ConnectionSpec& spec) {
     auto msg = channel_.recv(side_ranks_[1 - side_][0], c->desc_tag());
     peer_bytes = std::move(msg.payload);
   }
-  peer_bytes = cohort_.bcast(std::move(peer_bytes), 0);
-  rt::UnpackBuffer u(peer_bytes);
-  auto peer_desc = std::make_shared<const dad::Descriptor>(
-      dad::Descriptor::unpack(u));
+  const dad::DescriptorPtr peer_desc =
+      intern_descriptor(cohort_.bcast(std::move(peer_bytes), 0));
 
   const dad::DescriptorPtr src_desc =
       c->i_am_src ? local.descriptor : peer_desc;
@@ -177,6 +175,26 @@ ConnectionId MxNComponent::establish_impl(const ConnectionSpec& spec) {
   const ConnectionId id = next_id_++;
   connections_[id] = std::move(c);
   return id;
+}
+
+dad::DescriptorPtr MxNComponent::intern_descriptor(const rt::Buffer& bytes) {
+  std::string key(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  const auto it = interned_.find(key);
+  if (it != interned_.end())
+    if (dad::DescriptorPtr d = it->second.lock()) return d;
+  rt::UnpackBuffer u(bytes);
+  auto d = std::make_shared<const dad::Descriptor>(dad::Descriptor::unpack(u));
+  if (it != interned_.end()) {
+    it->second = d;
+    return d;
+  }
+  if (interned_.size() >= interned_sweep_at_) {
+    std::erase_if(interned_,
+                  [](const auto& e) { return e.second.expired(); });
+    interned_sweep_at_ = 2 * interned_.size() + 64;
+  }
+  interned_.emplace(std::move(key), d);
+  return d;
 }
 
 void MxNComponent::run_transfer(Connection& c) {

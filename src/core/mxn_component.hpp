@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/component.hpp"
@@ -322,6 +323,15 @@ class MxNComponent final : public Component, public MxNService {
   ConnectionId establish_elastic(const ConnectionSpec& spec);
   void run_transfer(Connection& c);
   void reestablish_connections();
+  // The descriptor packed in `bytes`, shared by every connection that got
+  // the same bytes while one of them lives: unpacked only on first sight
+  // or after the last user let go, so schedule-cache keys compare by
+  // pointer and each distinct descriptor builds its spatial index once.
+  dad::DescriptorPtr intern_descriptor(const rt::Buffer& bytes);
+  // Collective broadcast of a descriptor from `root` (which packs `mine`;
+  // other ranks pass null), interned on every rank.
+  dad::DescriptorPtr bcast_descriptor(rt::Communicator& ch, int root,
+                                      const dad::DescriptorPtr& mine);
 
   rt::Communicator channel_;
   rt::Communicator cohort_;
@@ -331,6 +341,11 @@ class MxNComponent final : public Component, public MxNService {
   std::map<std::string, FieldRegistration> fields_;
   std::map<ConnectionId, std::unique_ptr<Connection>> connections_;
   sched::ScheduleCache cache_;
+  // Interned descriptors by wire bytes; expired ones are swept once the map
+  // passes interned_sweep_at_.
+  std::unordered_map<std::string, std::weak_ptr<const dad::Descriptor>>
+      interned_;
+  std::size_t interned_sweep_at_ = 64;
   int next_id_ = 1;
   // Pair-wide connection sequence number; advances identically on both
   // sides because establishment is collective across the pair.

@@ -39,22 +39,18 @@ std::vector<std::string> bcast_names(rt::Communicator& ch, int root,
   return u.unpack_string_vector();
 }
 
-/// Collective broadcast of a descriptor from `root` (which packs `mine`;
-/// other ranks pass null and unpack the result).
-dad::DescriptorPtr bcast_descriptor(rt::Communicator& ch, int root,
-                                    const dad::DescriptorPtr& mine) {
+}  // namespace
+
+dad::DescriptorPtr MxNComponent::bcast_descriptor(
+    rt::Communicator& ch, int root, const dad::DescriptorPtr& mine) {
   rt::PackBuffer b;
   if (ch.rank() == root) {
     if (!mine)
       throw UsageError("descriptor broadcast root lacks the descriptor");
     mine->pack(b);
   }
-  auto bytes = ch.bcast(std::move(b).take_buffer(), root);
-  rt::UnpackBuffer u(bytes);
-  return std::make_shared<const dad::Descriptor>(dad::Descriptor::unpack(u));
+  return intern_descriptor(ch.bcast(std::move(b).take_buffer(), root));
 }
-
-}  // namespace
 
 // --- Layout ----------------------------------------------------------------
 

@@ -173,29 +173,43 @@ std::array<int, kMaxNdim> Descriptor::grid_coords(int rank) const {
   return coords;
 }
 
-const std::vector<std::vector<Descriptor::IndexedPatch>>&
-Descriptor::spatial_index() const {
+const std::vector<Descriptor::RankIndex>& Descriptor::spatial_index() const {
   std::call_once(index_->once, [this] {
     static trace::Counter& builds = trace::counter("sched.index.builds");
     builds.add(1);
     auto& per_rank = index_->per_rank;
     per_rank.resize(nranks_);
     for (int r = 0; r < nranks_; ++r) {
-      auto& v = per_rank[r];
       const auto& patches = rank_patches_[r];
+      const Patch& box = rank_bboxes_[r];
+      int ax = 0;
+      double best_depth = 0;
+      for (int a = 0; a < ndim_ && !patches.empty(); ++a) {
+        Index sum = 0;
+        for (const Patch& p : patches) sum += p.extent(a);
+        const double depth =
+            static_cast<double>(sum) /
+            static_cast<double>(std::max<Index>(1, box.extent(a)));
+        if (a == 0 || depth < best_depth) {
+          ax = a;
+          best_depth = depth;
+        }
+      }
+      auto& v = per_rank[r].entries;
+      per_rank[r].axis = ax;
       v.reserve(patches.size());
       for (std::size_t i = 0; i < patches.size(); ++i)
         v.push_back({patches[i], static_cast<std::int32_t>(i), 0});
       std::sort(v.begin(), v.end(),
-                [](const IndexedPatch& a, const IndexedPatch& b) {
-                  return a.patch.lo[0] != b.patch.lo[0]
-                             ? a.patch.lo[0] < b.patch.lo[0]
+                [ax](const IndexedPatch& a, const IndexedPatch& b) {
+                  return a.patch.lo[ax] != b.patch.lo[ax]
+                             ? a.patch.lo[ax] < b.patch.lo[ax]
                              : a.idx < b.idx;
                 });
       Index running = std::numeric_limits<Index>::min();
       for (auto& e : v) {
-        running = std::max(running, e.patch.hi[0]);
-        e.max_hi0 = running;
+        running = std::max(running, e.patch.hi[ax]);
+        e.max_hi = running;
       }
     }
   });

@@ -97,13 +97,20 @@ class Descriptor {
   /// patches_of(rank) == cross product of axes()[a].intervals_of(coords[a]).
   [[nodiscard]] std::array<int, kMaxNdim> grid_coords(int rank) const;
 
-  /// One rank's patches indexed for overlap queries: sorted by lo[0], with
-  /// a running maximum of hi[0] so a query can binary-search to the first
-  /// candidate and stop at the first entry starting past it.
+  /// One rank's patches indexed for overlap queries along `axis`, the axis
+  /// they stack least deeply along (total extent over span), so row- and
+  /// column-distributed patches alike stay O(log P + overlaps) per query:
+  /// sorted by lo[axis], with a running maximum of hi[axis] so a query can
+  /// binary-search to the first candidate and stop at the first entry
+  /// starting past it.
   struct IndexedPatch {
     Patch patch;
-    std::int32_t idx = 0;    // position in patches_of(rank)
-    Index max_hi0 = 0;       // max hi[0] over entries [0 .. this]
+    std::int32_t idx = 0;  // position in patches_of(rank)
+    Index max_hi = 0;      // max hi[axis] over entries [0 .. this]
+  };
+  struct RankIndex {
+    int axis = 0;
+    std::vector<IndexedPatch> entries;
   };
 
   /// Memoized per-rank spatial index over the owned patches. Built lazily,
@@ -111,8 +118,7 @@ class Descriptor {
   /// `sched.index.builds` trace counter. The schedule builders use it to
   /// find overlapping peer patches by binary search + bounded sweep instead
   /// of a full patch-pair scan.
-  [[nodiscard]] const std::vector<std::vector<IndexedPatch>>& spatial_index()
-      const;
+  [[nodiscard]] const std::vector<RankIndex>& spatial_index() const;
 
   /// Storage offset (within rank's concatenated patch storage) of an owned
   /// global point. Throws if `rank` does not own `p`.
@@ -180,7 +186,7 @@ class Descriptor {
   // descriptor itself stays copyable.
   struct SpatialIndex {
     std::once_flag once;
-    std::vector<std::vector<IndexedPatch>> per_rank;
+    std::vector<RankIndex> per_rank;
   };
   std::shared_ptr<SpatialIndex> index_;
 };

@@ -212,7 +212,7 @@ struct Tally {
 
 struct FpCache {
   rt::ShardedLru<FpKey, FpValue, FpKeyHash, FpWeigh> lru{
-      "sched.footprint.evicted"};
+      "sched.footprint.evicted", "sched.footprint.revived"};
   Tally footprints{trace::counter("sched.footprint.hits"),
                    trace::counter("sched.footprint.misses")};
   Tally ownership{trace::counter("sched.ownership.hits"),

@@ -25,13 +25,18 @@ using ScheduleCacheConfig = rt::ShardedLruConfig;
 /// An rt::ShardedLru keyed by a structural hash: tenants contend only within
 /// a shard, and the structural same-descriptor comparison runs only on hash
 /// collisions. Over a configured budget, inserts evict cold entries and bump
-/// `sched.cache.evicted`. Schedules are built outside the shard lock; a
-/// lookup that loses a build race to a concurrent one is billed as a hit, so
+/// `sched.cache.evicted`. An evicted schedule that a connection still pins
+/// is revived on its next lookup instead of rebuilt: served as a hit,
+/// re-inserted under the budget and counted by `sched.cache.revived`. A
+/// schedule is a pure function of its key, so the revived entry equals a
+/// rebuilt one, and a rank keeps one schedule per key for as long as any
+/// connection uses it. Schedules are built outside the shard lock; a lookup
+/// that loses a build race to a concurrent one is billed as a hit, so
 /// hits() + misses() always equals the number of lookups.
 class ScheduleCache {
  public:
   explicit ScheduleCache(const ScheduleCacheConfig& cfg = {})
-      : lru_("sched.cache.evicted", cfg) {}
+      : lru_("sched.cache.evicted", "sched.cache.revived", cfg) {}
 
   /// Re-shard and re-budget, redistributing any existing entries (their
   /// pinned shared_ptrs stay valid). Not safe against concurrent lookups.
@@ -60,14 +65,19 @@ class ScheduleCache {
   [[nodiscard]] std::size_t hits() const { return hits_.load(); }
   [[nodiscard]] std::size_t misses() const { return misses_.load(); }
   [[nodiscard]] std::size_t evicted() const { return lru_.evicted(); }
+  /// Lookups served by reviving an evicted, still pinned entry (each is
+  /// also one of hits()).
+  [[nodiscard]] std::size_t revived() const { return lru_.revived(); }
   [[nodiscard]] std::size_t size() const { return lru_.size(); }
 
   /// Total resident bytes (per entry: a fixed estimate plus the schedule).
   [[nodiscard]] std::size_t bytes() const { return lru_.bytes(); }
 
-  /// Drop every entry and reset the hit/miss/eviction tallies: a cleared
-  /// cache reports a clean slate, not rates against entries that no longer
-  /// exist. Callers wanting the lifetime numbers snapshot stats() first.
+  /// Drop every entry, forget evicted ones still pinned (the next lookup of
+  /// their key rebuilds) and reset the hit/miss/eviction/revival tallies: a
+  /// cleared cache reports a clean slate, not rates against entries that no
+  /// longer exist. Callers wanting the lifetime numbers snapshot stats()
+  /// first.
   void clear() {
     lru_.clear();
     hits_.store(0);
@@ -83,7 +93,9 @@ class ScheduleCache {
   void set_epoch(std::uint64_t e) { lru_.set_generation(e); }
   [[nodiscard]] std::uint64_t epoch() const { return lru_.generation(); }
 
-  /// Drop entries stamped with an epoch < `e`; returns how many.
+  /// Drop entries stamped with an epoch < `e`; returns how many. Evicted
+  /// entries of those epochs are forgotten too, so a pin held across the
+  /// retirement is never revived into the new epoch.
   std::size_t retire_epochs_before(std::uint64_t e) {
     static trace::Counter& retired = trace::counter("sched.cache.retired");
     const std::size_t n = lru_.retire_before(e);
@@ -104,6 +116,7 @@ class ScheduleCache {
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t evicted = 0;
+    std::size_t revived = 0;
     std::size_t bytes = 0;
     std::int64_t total_build_ns = 0;
     std::vector<EntryStats> entries;
@@ -114,6 +127,7 @@ class ScheduleCache {
     s.hits = hits_.load();
     s.misses = misses_.load();
     s.evicted = lru_.evicted();
+    s.revived = lru_.revived();
     lru_.for_each([&s](const Key& k, const Built& b) {
       s.bytes += Weigh{}(b);
       s.total_build_ns += b.build_ns;

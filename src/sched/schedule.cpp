@@ -202,24 +202,26 @@ RegionSchedule build_analytic(const Descriptor& src, const Descriptor& dst,
 // ---------------------------------------------------------------------------
 
 void indexed_peer_regions(const std::vector<Patch>& locals,
-                          const std::vector<Descriptor::IndexedPatch>& peers,
+                          const Descriptor::RankIndex& index,
                           bool local_is_source, PeerRegions& pr) {
   struct Pair {
     std::int64_t key;  // (source patch idx << 32) | dest patch idx
     Patch region;
   };
+  const auto& peers = index.entries;
+  const int ax = index.axis;
   std::vector<Pair> found;
   for (std::size_t i = 0; i < locals.size(); ++i) {
     const Patch& mine = locals[i];
-    // Entries before `first` all have hi[0] <= mine.lo[0] (the prefix max
-    // proves it), so they cannot overlap along axis 0. Entries at or past
-    // the first whose lo[0] >= mine.hi[0] cannot either; the list is sorted
-    // by lo[0], so the scan stops there.
+    // Entries before `first` all have hi[ax] <= mine.lo[ax] (the prefix max
+    // proves it), so they cannot overlap along the index axis. Entries at
+    // or past the first whose lo[ax] >= mine.hi[ax] cannot either; the list
+    // is sorted by lo[ax], so the scan stops there.
     auto first = std::partition_point(
         peers.begin(), peers.end(), [&](const Descriptor::IndexedPatch& e) {
-          return e.max_hi0 <= mine.lo[0];
+          return e.max_hi <= mine.lo[ax];
         });
-    for (auto it = first; it != peers.end() && it->patch.lo[0] < mine.hi[0];
+    for (auto it = first; it != peers.end() && it->patch.lo[ax] < mine.hi[ax];
          ++it) {
       if (auto r = Patch::intersect(mine, it->patch)) {
         const auto a = local_is_source ? static_cast<std::int64_t>(i)

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/framework.hpp"
 #include "core/mxn_component.hpp"
@@ -393,6 +395,58 @@ TEST(MxNComponent, MultipleConnectionsSameField) {
     }
     EXPECT_TRUE(mxn.active(id1));
     EXPECT_TRUE(mxn.active(id2));
+  });
+}
+
+TEST(MxNComponent, ConnectionsShareOneSchedulePerTemplate) {
+  // 64 connections over 4 templates with a one-entry schedule cache: each
+  // establish evicts a schedule that earlier connections still pin, so
+  // later connections of that template revive it instead of rebuilding.
+  // Every rank builds one schedule per template, and every connection
+  // still moves its field exactly.
+  const int m = 2, n = 2;
+  constexpr int kTemplates = 4;
+  constexpr int kConns = 64;
+  const std::string names[kTemplates] = {"f0", "f1", "f2", "f3"};
+  auto dst_desc = dad::make_regular(std::vector<AxisDist>{
+      AxisDist::block(24, n), AxisDist::collapsed(3)});
+  with_paired_mxn(m, n, [&](core::MxNComponent& mxn, int side,
+                            rt::Communicator& cohort) {
+    core::ConnectionSpec spec;
+    spec.src_side = 0;
+    spec.one_shot = false;
+    mxn.configure_schedule_cache({.shards = 1, .max_entries = 1});
+    std::vector<std::unique_ptr<dad::DistArray<double>>> arrays;
+    for (int t = 0; t < kTemplates; ++t) {
+      auto desc = side == 1 ? dst_desc
+                            : dad::make_regular(std::vector<AxisDist>{
+                                  AxisDist::block_cyclic(24, m, 1 + t),
+                                  AxisDist::collapsed(3)});
+      arrays.push_back(
+          std::make_unique<dad::DistArray<double>>(desc, cohort.rank()));
+      if (side == 0)
+        arrays.back()->fill(
+            [t](const Point& p) { return 100.0 * t + value_at(p); });
+      mxn.register_field(core::make_field(
+          names[t], arrays.back().get(),
+          side == 0 ? core::AccessMode::Read : core::AccessMode::Write));
+    }
+    std::vector<core::ConnectionId> ids;
+    for (int c = 0; c < kConns; ++c) {
+      spec.src_field = spec.dst_field = names[c % kTemplates];
+      ids.push_back(mxn.establish(spec));
+    }
+    const auto st = mxn.schedule_cache_stats();
+    EXPECT_EQ(st.misses, static_cast<std::size_t>(kTemplates));
+    EXPECT_EQ(st.hits, static_cast<std::size_t>(kConns - kTemplates));
+    EXPECT_GT(st.revived, 0u);
+
+    for (const auto id : ids) EXPECT_TRUE(mxn.data_ready_connection(id));
+    if (side == 1)
+      for (int t = 0; t < kTemplates; ++t)
+        arrays[t]->for_each_owned([t](const Point& p, const double& v) {
+          EXPECT_DOUBLE_EQ(v, 100.0 * t + value_at(p));
+        });
   });
 }
 

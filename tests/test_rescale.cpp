@@ -142,6 +142,30 @@ TEST(ScheduleCacheEpoch, VersionedDescriptorsAreDistinctKeys) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
+TEST(ScheduleCacheEpoch, RetireForgetsPinnedEvictedEntriesOfOlderEpochs) {
+  sched::ScheduleCacheConfig cfg;
+  cfg.max_entries = 1;
+  sched::ScheduleCache cache(cfg);
+  auto a = desc_for(0, 2);
+  auto b = desc_for(1, 3);
+  auto c = desc_for(1, 2);
+
+  const auto old_pin = cache.get_shared(a, b, 0, -1);  // epoch 0
+  cache.set_epoch(1);
+  cache.get_shared(a, c, 0, -1);  // evicts the pinned epoch-0 entry
+  EXPECT_EQ(cache.retire_epochs_before(1), 0u);  // nothing resident is older
+  const auto rebuilt = cache.get_shared(a, b, 0, -1);
+  EXPECT_NE(rebuilt, old_pin);  // forgotten, not revived across the epoch
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.revived(), 0u);
+
+  // A pinned entry of the current epoch stays revivable across retirement.
+  cache.get_shared(a, c, 0, -1);  // evicts `rebuilt`, stamped 1
+  EXPECT_EQ(cache.retire_epochs_before(1), 0u);
+  EXPECT_EQ(cache.get_shared(a, b, 0, -1), rebuilt);
+  EXPECT_EQ(cache.revived(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Elastic components
 // ---------------------------------------------------------------------------
@@ -273,6 +297,73 @@ TEST(Rescale, CountersAdvance) {
   EXPECT_GT(trace::counter("rescale.migrated_bytes").value() +
                 trace::counter("rescale.local_bytes").value(),
             bytes0);
+}
+
+TEST(Rescale, RoundTripUnderAOneEntryCacheRevivesSharedSchedules) {
+  // Three connections over two templates ("f" twice, "g" once) and a
+  // one-entry schedule cache: every establish and re-establish evicts a
+  // schedule the other connections still pin, and the second "f"
+  // connection revives it. A -> B -> A must move exact data in every
+  // epoch, with one build per template per epoch on every member.
+  const core::Layout a{{0, 1}, {2, 3}};
+  const core::Layout b{{0, 1, 2}, {3, 4}};
+  const std::vector<core::Layout> layouts = {a, b, a};
+  rt::spawn(5, [&](rt::Communicator& world) {
+    const int me = world.rank();
+    auto comp = core::make_elastic_mxn(world, layouts[0]);
+    sched::ScheduleCacheConfig cfg;
+    cfg.max_entries = 1;
+    comp->configure_schedule_cache(cfg);
+
+    // "g" swaps the two sides' decompositions, so it is a distinct key.
+    using Array = std::unique_ptr<dad::DistArray<double>>;
+    Array f, g;
+    auto make_fields = [&](const core::Layout& l, Array& nf, Array& ng) {
+      std::vector<core::FieldRegistration> regs;
+      const int s = l.side_of(me);
+      if (s < 0) return regs;
+      const auto n = static_cast<int>(l.side(s).size());
+      const int r = index_in(l.side(s), me);
+      nf = std::make_unique<dad::DistArray<double>>(desc_for(s, n), r);
+      ng = std::make_unique<dad::DistArray<double>>(desc_for(1 - s, n), r);
+      regs.push_back(
+          core::make_field("f", nf.get(), core::AccessMode::ReadWrite));
+      regs.push_back(
+          core::make_field("g", ng.get(), core::AccessMode::ReadWrite));
+      return regs;
+    };
+    for (auto& r : make_fields(layouts[0], f, g)) comp->register_field(r);
+    if (layouts[0].side_of(me) == 0) {
+      f->fill(value_at);
+      g->fill(value_at);
+    }
+    core::ConnectionSpec spec;
+    spec.src_side = 0;
+    spec.one_shot = false;
+    for (const char* name : {"f", "g", "f"}) {
+      spec.src_field = spec.dst_field = name;
+      comp->establish(spec);
+    }
+
+    for (std::size_t e = 0; e < layouts.size(); ++e) {
+      if (e > 0) {
+        Array nf, ng;  // the old arrays source the migration
+        comp->rescale(layouts[e], make_fields(layouts[e], nf, ng));
+        f = std::move(nf);
+        g = std::move(ng);
+      }
+      if (layouts[e].side_of(me) < 0) continue;
+      EXPECT_EQ(comp->data_ready("f"), 2);
+      EXPECT_EQ(comp->data_ready("g"), 1);
+      expect_exact(*f);
+      expect_exact(*g);
+    }
+    if (me <= 3) {  // a member in every epoch
+      const auto st = comp->schedule_cache_stats();
+      EXPECT_EQ(st.misses, 2u * layouts.size());
+      EXPECT_GE(st.revived, layouts.size());
+    }
+  });
 }
 
 TEST(Rescale, UnchangedSideKeepsRegistrations) {

@@ -812,3 +812,140 @@ TEST(ScheduleCache, ConcurrentLookupsAndRetirementStayExact) {
   EXPECT_EQ(cache.hits() + cache.misses(),
             static_cast<std::size_t>(kThreads) * kLookups);
 }
+
+// ---------------------------------------------------------------------------
+// Revival of evicted entries that a connection still pins
+// ---------------------------------------------------------------------------
+
+TEST(ScheduleCache, PinnedEvictedEntryRevivesAsTheSamePointer) {
+  sched::ScheduleCacheConfig cfg;
+  cfg.max_entries = 1;
+  sched::ScheduleCache cache(cfg);
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
+  auto& revived = mxn::trace::counter("sched.cache.revived");
+
+  const auto pinned = cache.get_shared(tenant_desc(0), dst, 0, -1);
+  cache.get_shared(tenant_desc(1), dst, 0, -1);  // evicts the pinned entry
+  ASSERT_EQ(cache.evicted(), 1u);
+  const auto misses = cache.misses();
+  const auto hits = cache.hits();
+  const auto revived_before = revived.value();
+
+  // A structurally equal key (a fresh descriptor object) finds it too.
+  const auto again = cache.get_shared(tenant_desc(0), dst, 0, -1);
+  EXPECT_EQ(again, pinned);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.hits(), hits + 1);
+  EXPECT_EQ(revived.value(), revived_before + 1);
+  EXPECT_EQ(cache.revived(), 1u);
+  EXPECT_EQ(cache.stats().revived, 1u);
+  // Revived at the warm end under the normal budget: the other key went.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evicted(), 2u);
+
+  // An entry nobody pins is not kept: its key rebuilds.
+  cache.get_shared(tenant_desc(1), dst, 0, -1);
+  EXPECT_EQ(cache.misses(), misses + 1);
+}
+
+TEST(ScheduleCache, ClearForgetsPinnedEvictedEntries) {
+  sched::ScheduleCacheConfig cfg;
+  cfg.max_entries = 1;
+  sched::ScheduleCache cache(cfg);
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
+
+  const auto pinned = cache.get_shared(tenant_desc(0), dst, 0, -1);
+  cache.get_shared(tenant_desc(1), dst, 0, -1);  // evicts the pinned entry
+  cache.clear();
+  const auto rebuilt = cache.get_shared(tenant_desc(0), dst, 0, -1);
+  EXPECT_NE(rebuilt, pinned);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.revived(), 0u);
+  // The rebuilt schedule equals the one the pin still holds.
+  EXPECT_EQ(rebuilt->message_count(), pinned->message_count());
+  EXPECT_EQ(rebuilt->byte_size(), pinned->byte_size());
+}
+
+TEST(ScheduleCache, RevivalsStayWithinTheByteBudget) {
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
+  sched::ScheduleCache probe;
+  std::size_t largest = 0;
+  for (int i = 0; i < 8; ++i) {
+    probe.clear();
+    probe.get_shared(tenant_desc(i), dst, 0, -1);
+    largest = std::max(largest, probe.bytes());
+  }
+
+  sched::ScheduleCacheConfig cfg;
+  cfg.max_bytes = 3 * largest;
+  sched::ScheduleCache cache(cfg);
+  std::vector<std::shared_ptr<const sched::RegionSchedule>> pins;
+  for (int i = 0; i < 8; ++i)
+    pins.push_back(cache.get_shared(tenant_desc(i), dst, 0, -1));
+  for (int round = 0; round < 3; ++round)
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(cache.get_shared(tenant_desc(i), dst, 0, -1), pins[i]);
+      EXPECT_LE(cache.bytes(), cfg.max_bytes);
+    }
+  EXPECT_EQ(cache.misses(), 8u);
+  EXPECT_GT(cache.revived(), 0u);
+  EXPECT_LT(cache.size(), 8u);
+}
+
+TEST(ScheduleCache, ConcurrentRevivalsRaceEvictionAndRetirement) {
+  // TSan-covered: as ConcurrentLookupsAndRetirementStayExact, but every
+  // tenant thread holds its last few schedules, so lookups revive evicted
+  // entries while other threads evict them and a retirer forgets them. The
+  // tallies stay exact, a revival is one of the hits, and every schedule
+  // served, built or revived, is the one its key names.
+  sched::ScheduleCacheConfig cfg;
+  cfg.shards = 4;
+  cfg.max_entries = 8;
+  sched::ScheduleCache cache(cfg);
+  auto dst = dad::make_regular(std::vector<AxisDist>{AxisDist::cyclic(24, 2)});
+
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 300;
+  constexpr int kKeys = 24;  // > max_entries, so eviction happens live
+  constexpr std::size_t kHeld = 6;
+  std::vector<DescriptorPtr> descs;
+  std::vector<std::size_t> messages;
+  for (int i = 0; i < kKeys; ++i) {
+    descs.push_back(tenant_desc(i));
+    messages.push_back(
+        sched::build_region_schedule(*descs.back(), *dst, 0, -1)
+            .message_count());
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread retirer([&] {
+    std::uint64_t e = 1;
+    while (!stop.load()) {
+      cache.set_epoch(e);
+      cache.retire_epochs_before(e);
+      ++e;
+      for (int i = 0; i < 20; ++i) std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> tenants;
+  for (int t = 0; t < kThreads; ++t) {
+    tenants.emplace_back([&, t] {
+      std::vector<std::shared_ptr<const sched::RegionSchedule>> held;
+      for (int i = 0; i < kLookups; ++i) {
+        const int k = (t * 5 + i * 7) % kKeys;
+        auto s = cache.get_shared(descs[k], dst, 0, -1);
+        EXPECT_EQ(s->message_count(), messages[k]);
+        held.push_back(std::move(s));
+        if (held.size() > kHeld) held.erase(held.begin());
+      }
+    });
+  }
+  for (auto& th : tenants) th.join();
+  stop.store(true);
+  retirer.join();
+
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::size_t>(kThreads) * kLookups);
+  EXPECT_LE(cache.revived(), cache.hits());
+}

@@ -258,6 +258,44 @@ TEST(ScheduleDiff, AllPathsMatchNaiveReferenceAcrossRandomSweep) {
   }
 }
 
+TEST(ScheduleDiff, IndexedMatchesReferenceOnRowAndColumnCyclicPatches) {
+  // Explicit templates whose patches stack along axis 0 (row-cyclic) or
+  // along axis 1 (column-cyclic). The spatial index sweeps each rank's
+  // patches along the axis they stack least deeply on, and the indexed
+  // schedule must equal the reference for every pairing of orientations.
+  Rng rng(20261020);
+  const Point extents{36, 40};
+  auto cyclic_along = [&](int axis, int nranks, Index block) {
+    std::vector<AxisDist> axes;
+    for (int a = 0; a < 2; ++a)
+      axes.push_back(a == axis
+                         ? AxisDist::block_cyclic(extents[a], nranks, block)
+                         : AxisDist::collapsed(extents[a]));
+    return explicit_from(rng, *dad::make_regular(std::move(axes)));
+  };
+  for (int src_axis = 0; src_axis < 2; ++src_axis) {
+    for (int dst_axis = 0; dst_axis < 2; ++dst_axis) {
+      const auto src = cyclic_along(src_axis, 4, 1);
+      const auto dst = cyclic_along(dst_axis, 3, 2);
+      for (int r = 0; r < 4; ++r)
+        EXPECT_EQ(src->spatial_index()[static_cast<std::size_t>(r)].axis,
+                  src_axis);
+      for (int r = 0; r < 4; ++r) {
+        const int ms = r;
+        const int md = r < 3 ? r : -1;
+        const std::string tag = "src axis " + std::to_string(src_axis) +
+                                ", dst axis " + std::to_string(dst_axis) +
+                                " r" + std::to_string(r);
+        const auto ref = sched::build_region_schedule(
+            *src, *dst, ms, md, sched::BuildPath::Reference);
+        expect_identical(sched::build_region_schedule(
+                             *src, *dst, ms, md, sched::BuildPath::Indexed),
+                         ref, *src, *dst, ms, md, tag);
+      }
+    }
+  }
+}
+
 TEST(ScheduleDiff, PartitionedBuilderMatchesReferenceAndNamesPatches) {
   // InterComm's partitioned builder sees only each rank's own patches; its
   // destinations intersect and reply with the regions and their indices.
