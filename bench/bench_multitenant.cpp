@@ -10,10 +10,12 @@
 //     budgeted far below the working set, and the steady state drives
 //     every tenant through Fabric::drain_tick. Reported: per-tenant-tick
 //     p50/p99 latency, aggregate transfer throughput, revivals of evicted
-//     but pinned schedules, and the max-RSS growth of the establish phase
-//     per tenant; gated: tenant count, evictions > 0, resident cache bytes
-//     <= budget, and one build per template pair (misses <= fields: a
-//     connection whose schedule was evicted revives the pinned one).
+//     but pinned schedules, the max-RSS growth of the establish phase
+//     per tenant, and the part of that phase Fabric::add_connection takes
+//     (register_us_per_tenant; establish_s covers both); gated: tenant
+//     count, evictions > 0, resident cache bytes <= budget, and one build
+//     per template pair (misses <= fields: a connection whose schedule was
+//     evicted revives the pinned one).
 //
 //  2. Is the bounded footprint/ownership cache exact under budget? The
 //     same 512 descriptors are swept through footprint_cached under an
@@ -95,6 +97,7 @@ dad::DescriptorPtr dst_desc() {
 struct Part1 {
   std::size_t evictions = 0, bytes = 0, hits = 0, misses = 0, revived = 0;
   double establish_s = 0, steady_s = 0, rss_kib_per_connection = 0;
+  double register_us_per_tenant = 0;
   double p50_us = 0, p99_us = 0, throughput = 0;
 };
 
@@ -124,12 +127,17 @@ Part1 run_part1() {
     world.barrier();
     const long rss0 = max_rss_kib();
     const double t0 = bench::now_s();
+    double register_s = 0;
     for (int c = 0; c < kConns; ++c) {
       core::ConnectionSpec spec;
       spec.src_field = spec.dst_field = numbered("f", c % kFields);
       spec.src_side = 0;
       spec.one_shot = false;
-      fab.add_connection(numbered("t", c), mxn, mxn->establish(spec));
+      const auto id = mxn->establish(spec);
+      std::string name = numbered("t", c);
+      const double r0 = bench::now_s();
+      fab.add_connection(std::move(name), mxn, id);
+      register_s += bench::now_s() - r0;
     }
     const double establish_s = bench::now_s() - t0;
     world.barrier();
@@ -161,6 +169,7 @@ Part1 run_part1() {
       out.rss_kib_per_connection =
           static_cast<double>(rss1 - rss0) / kConns;
       out.establish_s = establish_s;
+      out.register_us_per_tenant = register_s * 1e6 / kConns;
       out.steady_s = steady_s;
       out.p50_us = samples[samples.size() / 2] * 1e6;
       out.p99_us = samples[samples.size() * 99 / 100] * 1e6;
@@ -297,10 +306,11 @@ int main() {
               kConns, kFields, kCacheEntries, kCacheBytes / 1024);
 
   const Part1 p1 = run_part1();
-  bench::Table t1({"tenants", "establish_s", "steady_s", "p50_us", "p99_us",
-                   "xfers/s", "evictions", "misses", "revived", "cache_KiB",
-                   "rss_KiB/conn"});
+  bench::Table t1({"tenants", "establish_s", "reg_us/tenant", "steady_s",
+                   "p50_us", "p99_us", "xfers/s", "evictions", "misses",
+                   "revived", "cache_KiB", "rss_KiB/conn"});
   t1.row({std::to_string(kConns), bench::fmt("%.2f", p1.establish_s),
+          bench::fmt("%.2f", p1.register_us_per_tenant),
           bench::fmt("%.2f", p1.steady_s), bench::fmt("%.1f", p1.p50_us),
           bench::fmt("%.1f", p1.p99_us), bench::fmt("%.0f", p1.throughput),
           std::to_string(p1.evictions), std::to_string(p1.misses),
@@ -343,12 +353,14 @@ int main() {
       "    \"cache_hits\": %zu, \"cache_misses\": %zu, "
       "\"cache_revived\": %zu,\n"
       "    \"rss_kib_per_connection\": %.3f,\n"
-      "    \"establish_s\": %.3f, \"steady_s\": %.3f,\n"
+      "    \"establish_s\": %.3f, \"register_us_per_tenant\": %.3f,\n"
+      "    \"steady_s\": %.3f,\n"
       "    \"p50_us\": %.2f, \"p99_us\": %.2f,\n"
       "    \"throughput_transfers_per_s\": %.1f},\n",
       kConns, kFields, kTicks, kCacheEntries, kCacheBytes, p1.bytes,
       p1.evictions, p1.hits, p1.misses, p1.revived,
-      p1.rss_kib_per_connection, p1.establish_s, p1.steady_s,
+      p1.rss_kib_per_connection, p1.establish_s, p1.register_us_per_tenant,
+      p1.steady_s,
       p1.p50_us, p1.p99_us, p1.throughput);
   std::fprintf(
       f,

@@ -178,7 +178,8 @@ ConnectionId MxNComponent::establish_impl(const ConnectionSpec& spec) {
 }
 
 dad::DescriptorPtr MxNComponent::intern_descriptor(const rt::Buffer& bytes) {
-  std::string key(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  const std::string_view key(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size());
   const auto it = interned_.find(key);
   if (it != interned_.end())
     if (dad::DescriptorPtr d = it->second.lock()) return d;
@@ -193,7 +194,7 @@ dad::DescriptorPtr MxNComponent::intern_descriptor(const rt::Buffer& bytes) {
                   [](const auto& e) { return e.second.expired(); });
     interned_sweep_at_ = 2 * interned_.size() + 64;
   }
-  interned_.emplace(std::move(key), d);
+  interned_.emplace(std::string(key), d);
   return d;
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -342,8 +343,16 @@ class MxNComponent final : public Component, public MxNService {
   std::map<ConnectionId, std::unique_ptr<Connection>> connections_;
   sched::ScheduleCache cache_;
   // Interned descriptors by wire bytes; expired ones are swept once the map
-  // passes interned_sweep_at_.
-  std::unordered_map<std::string, std::weak_ptr<const dad::Descriptor>>
+  // passes interned_sweep_at_. The hash is transparent so a lookup views the
+  // received bytes and only an insertion copies them into a key.
+  struct BytesHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, std::weak_ptr<const dad::Descriptor>,
+                     BytesHash, std::equal_to<>>
       interned_;
   std::size_t interned_sweep_at_ = 64;
   int next_id_ = 1;

@@ -20,18 +20,28 @@ trace::Counter& released_counter() {
   return c;
 }
 
+// fabric.tenant.<name>.ticks / .advanced, in field order.
+enum TenantField : std::size_t { kTicks, kAdvanced };
+trace::CounterFamily& tenant_family() {
+  static trace::CounterFamily& f =
+      trace::counter_family("fabric.tenant.", {".ticks", ".advanced"});
+  return f;
+}
+
 }  // namespace
 
-Fabric::Fabric(std::string name) : name_(std::move(name)) {}
+Fabric::Fabric(std::string name)
+    : name_(std::move(name)), counters_(tenant_family()) {}
 
 Fabric::~Fabric() { released_counter().add(rows_.size()); }
 
-TenantId Fabric::register_row(Row row) {
-  row.ticks = &trace::counter("fabric.tenant." + row.name + ".ticks");
-  row.advanced = &trace::counter("fabric.tenant." + row.name + ".advanced");
+TenantId Fabric::register_row(std::string name, Row row) {
+  const std::size_t id = counters_.add(std::move(name));
+  row.ticks = &counters_.at(id, kTicks);
+  row.advanced = &counters_.at(id, kAdvanced);
   rows_.push_back(std::move(row));
   registered_counter().add(1);
-  return static_cast<TenantId>(rows_.size()) - 1;
+  return static_cast<TenantId>(id);
 }
 
 TenantId Fabric::add_connection(std::string name,
@@ -39,23 +49,23 @@ TenantId Fabric::add_connection(std::string name,
                                 core::ConnectionId conn) {
   if (!comp) throw std::invalid_argument("fabric: null component");
   Row row;
-  row.name = std::move(name);
   row.comp = std::move(comp);
   row.conn = conn;
-  return register_row(std::move(row));
+  return register_row(std::move(name), std::move(row));
 }
 
 TenantId Fabric::add_prmi_client(std::string name,
                                  std::shared_ptr<prmi::RemotePort> port) {
   if (!port) throw std::invalid_argument("fabric: null proxy");
   Row row;
-  row.name = std::move(name);
   row.port = std::move(port);
-  return register_row(std::move(row));
+  return register_row(std::move(name), std::move(row));
 }
 
 const std::string& Fabric::tenant_name(TenantId id) const {
-  return rows_.at(static_cast<std::size_t>(id)).name;
+  const auto i = static_cast<std::size_t>(id);
+  if (i >= rows_.size()) throw std::out_of_range("fabric: unknown tenant");
+  return counters_.label(i);
 }
 
 const TenantStats& Fabric::stats(TenantId id) const {

@@ -7,6 +7,7 @@
 
 #include "core/mxn_component.hpp"
 #include "prmi/distributed_framework.hpp"
+#include "trace/trace.hpp"
 
 namespace mxn::fabric {
 
@@ -20,7 +21,7 @@ struct TenantStats {
   std::uint64_t calls = 0;     // PRMI sub-calls shipped (flush results)
 };
 
-/// Multi-tenant connection fabric (ISSUE 9 tentpole).
+/// Multi-tenant connection fabric.
 ///
 /// A serving process rarely hosts ONE M×N coupling: it multiplexes many
 /// concurrent connections and PRMI client proxies — tenants — over one
@@ -33,6 +34,15 @@ struct TenantStats {
 ///   fabric.ticks                    tick() calls across all tenants
 ///   fabric.tenant.<name>.ticks      per-tenant tick volume
 ///   fabric.tenant.<name>.advanced   ...that performed a transfer / flush
+///
+/// The per-tenant pair is a labeled counter family (trace::CounterFamily)
+/// registered once per process; each Fabric takes one block of it at
+/// construction. Registering a tenant appends its name and two slots to
+/// that block under the block's own lock — no name is built and no
+/// process-wide lock is taken — and tick() adds to this rank's own slot.
+/// Snapshots sum the names over every Fabric that registered them; when a
+/// Fabric is destroyed its block is folded, once, into the family's
+/// per-name retired totals, so the values outlive it.
 ///
 /// The Fabric owns no communicators and creates no connections; it holds
 /// shared_ptr handles to components/proxies registered by the application
@@ -85,7 +95,6 @@ class Fabric {
 
  private:
   struct Row {
-    std::string name;
     std::shared_ptr<core::MxNComponent> comp;  // connection tenants
     core::ConnectionId conn = -1;
     std::shared_ptr<prmi::RemotePort> port;  // PRMI tenants
@@ -95,9 +104,10 @@ class Fabric {
     trace::Counter* advanced = nullptr;  // fabric.tenant.<name>.advanced
   };
 
-  TenantId register_row(Row row);
+  TenantId register_row(std::string name, Row row);
 
   std::string name_;
+  trace::CounterFamily::Block counters_;  // tenant names and their slots
   std::vector<Row> rows_;
 };
 

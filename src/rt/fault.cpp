@@ -115,7 +115,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     }
   }
   for (double r : {p.drop, p.dup, p.reorder, p.delay})
-    if (r < 0 || r > 1)
+    if (!(r >= 0 && r <= 1))  // also rejects NaN
       throw UsageError("fault plan: rates must be within [0, 1]");
   return p;
 }

@@ -1,6 +1,7 @@
 #include "sidl/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -245,8 +246,10 @@ class Parser {
         lex_.fail("unsupported array element type '" + elem.text + "'");
       expect_punct(",");
       const Token n = expect(Token::Number, "array dimensionality");
-      t.array_ndim = std::stoi(n.text);
-      if (t.array_ndim < 1 || t.array_ndim > 4)
+      const char* end = n.text.data() + n.text.size();
+      const auto [used, ec] = std::from_chars(n.text.data(), end, t.array_ndim);
+      if (ec != std::errc{} || used != end || t.array_ndim < 1 ||
+          t.array_ndim > 4)
         lex_.fail("array dimensionality must be 1..4");
       expect_punct(">");
     } else {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 
 namespace mxn::trace {
 
@@ -24,6 +25,7 @@ struct Registry {
   std::deque<int> ring_ranks;  // rank tag at ring creation, index-aligned
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
+  std::map<std::string, std::unique_ptr<CounterFamily>> families;
 
   static Registry& get() {
     static Registry* r = new Registry();  // leaked: outlives all threads
@@ -131,8 +133,121 @@ void Histogram::reset() {
 Counter& counter(const std::string& name) {
   auto& reg = Registry::get();
   std::lock_guard lock(reg.mu);
-  auto& slot = reg.counters[name];
-  if (!slot) slot = std::make_unique<Counter>();
+  const auto it = reg.counters.lower_bound(name);
+  if (it != reg.counters.end() && it->first == name) return *it->second;
+  for (const auto& [prefix, family] : reg.families)
+    if (Counter* c = family->retired_counter(name)) return *c;
+  return *reg.counters.emplace_hint(it, name, std::make_unique<Counter>())
+              ->second;
+}
+
+CounterFamily::CounterFamily(std::string prefix,
+                             std::vector<std::string> fields)
+    : prefix_(std::move(prefix)), fields_(std::move(fields)) {}
+
+CounterFamily::Block::Block(CounterFamily& family)
+    : family_(family), nfields_(family.fields_.size()) {
+  std::lock_guard lock(family_.mu_);
+  family_.blocks_.push_back(this);
+}
+
+CounterFamily::Block::~Block() {
+  // Fold and unlink in one critical section, so a snapshot counts each row
+  // either live or retired, never both or neither.
+  std::lock_guard lock(family_.mu_);
+  for (std::size_t r = 0; r < labels_.size(); ++r) {
+    const std::size_t row = family_.retired_row(labels_[r]);
+    for (std::size_t f = 0; f < nfields_; ++f)
+      family_.retired_[row * nfields_ + f].add(at(r, f).value());
+  }
+  std::erase(family_.blocks_, this);
+}
+
+std::size_t CounterFamily::Block::add(std::string label) {
+  std::lock_guard lock(mu_);
+  labels_.push_back(std::move(label));
+  for (std::size_t f = 0; f < nfields_; ++f) slots_.emplace_back();
+  return labels_.size() - 1;
+}
+
+std::size_t CounterFamily::retired_row(std::string_view label) {
+  const auto it = retired_rows_.find(label);
+  if (it != retired_rows_.end()) return it->second;
+  const std::size_t row = retired_rows_.size();
+  retired_rows_.emplace(std::string(label), row);
+  for (std::size_t f = 0; f < fields_.size(); ++f) retired_.emplace_back();
+  return row;
+}
+
+Counter* CounterFamily::retired_counter(std::string_view name) {
+  if (!name.starts_with(prefix_)) return nullptr;
+  name.remove_prefix(prefix_.size());
+  for (std::size_t f = 0; f < fields_.size(); ++f) {
+    if (!name.ends_with(fields_[f])) continue;
+    std::lock_guard lock(mu_);
+    const std::size_t row =
+        retired_row(name.substr(0, name.size() - fields_[f].size()));
+    return &retired_[row * fields_.size() + f];
+  }
+  return nullptr;
+}
+
+void CounterFamily::snapshot(std::map<std::string, std::uint64_t>& out) {
+  const std::size_t nf = fields_.size();
+  // Sum per label first: live labels repeat across blocks (one per owner),
+  // so each name is built and inserted once. Views into block labels stay
+  // valid while mu_ keeps the blocks alive.
+  std::unordered_map<std::string_view, std::size_t> index;
+  std::vector<std::string_view> labels;
+  std::vector<std::uint64_t> sums;
+  auto add_row = [&](std::string_view label, auto&& value_of) {
+    const auto [it, fresh] = index.try_emplace(label, labels.size());
+    if (fresh) {
+      labels.push_back(label);
+      sums.resize(sums.size() + nf, 0);
+    }
+    for (std::size_t f = 0; f < nf; ++f)
+      sums[it->second * nf + f] += value_of(f);
+  };
+  std::lock_guard lock(mu_);
+  for (const auto& entry : retired_rows_) {
+    const std::size_t row = entry.second;
+    add_row(entry.first,
+            [&](std::size_t f) { return retired_[row * nf + f].value(); });
+  }
+  for (Block* b : blocks_) {
+    std::lock_guard block_lock(b->mu_);
+    for (std::size_t r = 0; r < b->labels_.size(); ++r)
+      add_row(b->labels_[r],
+              [&](std::size_t f) { return b->at(r, f).value(); });
+  }
+  std::string name;
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    for (std::size_t f = 0; f < nf; ++f) {
+      name.assign(prefix_).append(labels[i]).append(fields_[f]);
+      out[name] += sums[i * nf + f];
+    }
+}
+
+void CounterFamily::zero() {
+  std::lock_guard lock(mu_);
+  for (Counter& c : retired_) c.reset();
+  for (Block* b : blocks_) {
+    std::lock_guard block_lock(b->mu_);
+    for (Counter& c : b->slots_) c.reset();
+  }
+}
+
+CounterFamily& counter_family(const std::string& prefix,
+                              std::vector<std::string> fields) {
+  auto& reg = Registry::get();
+  std::lock_guard lock(reg.mu);
+  auto& slot = reg.families[prefix];
+  if (!slot)
+    slot = std::make_unique<CounterFamily>(prefix, std::move(fields));
+  else if (slot->fields() != fields)
+    throw std::invalid_argument("trace: counter family '" + prefix +
+                                "' re-registered with other fields");
   return *slot;
 }
 
@@ -146,9 +261,15 @@ Histogram& histogram(const std::string& name) {
 
 std::map<std::string, std::uint64_t> counters() {
   auto& reg = Registry::get();
-  std::lock_guard lock(reg.mu);
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, c] : reg.counters) out[name] = c->value();
+  std::vector<CounterFamily*> families;
+  {
+    std::lock_guard lock(reg.mu);
+    for (const auto& [name, c] : reg.counters) out[name] = c->value();
+    for (const auto& [prefix, family] : reg.families)
+      families.push_back(family.get());
+  }
+  for (CounterFamily* family : families) family->snapshot(out);
   return out;
 }
 
@@ -166,12 +287,12 @@ void reset() {
   for (auto& r : reg.rings) r->reset();
   for (auto& [name, c] : reg.counters) c->reset();
   for (auto& [name, h] : reg.histograms) h->reset();
+  for (auto& [prefix, family] : reg.families) family->zero();
 }
 
 bool write_chrome_trace(const std::string& path) {
   auto& reg = Registry::get();
   std::vector<std::pair<int, std::vector<Event>>> per_ring;
-  std::map<std::string, std::uint64_t> counter_values;
   {
     std::lock_guard lock(reg.mu);
     for (std::size_t i = 0; i < reg.rings.size(); ++i) {
@@ -179,9 +300,8 @@ bool write_chrome_trace(const std::string& path) {
       if (!events.empty())
         per_ring.emplace_back(reg.ring_ranks[i], std::move(events));
     }
-    for (const auto& [name, c] : reg.counters)
-      counter_values[name] = c->value();
   }
+  const std::map<std::string, std::uint64_t> counter_values = counters();
 
   std::int64_t base = INT64_MAX;
   for (const auto& [rank, events] : per_ring)

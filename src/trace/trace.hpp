@@ -3,8 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace mxn::trace {
@@ -20,6 +24,8 @@ namespace mxn::trace {
 //    latency histograms. Counters are always live (two relaxed fetch_adds);
 //    the registry subsumes the per-communicator StatsSnapshot and the
 //    ScheduleCache hit/miss integers without replacing their APIs.
+//    Labeled counter families (`<prefix><label><field>`) give an owner of
+//    many runtime labels one registration instead of one per name.
 // ===========================================================================
 
 // --- enable flag -----------------------------------------------------------
@@ -199,9 +205,99 @@ class Histogram {
 };
 
 /// Look up (creating on first use) a named metric. Thread-safe; the returned
-/// reference is stable for the process lifetime.
+/// reference is stable for the process lifetime. A name a registered counter
+/// family covers (see CounterFamily) resolves to the family's retired total
+/// for it; one looked up before its family exists stays a plain counter,
+/// which snapshots add to the family's value.
 Counter& counter(const std::string& name);
 Histogram& histogram(const std::string& name);
+
+/// Counters named `<prefix><label><field>` for runtime labels and a fixed
+/// list of fields, e.g. fabric.tenant.<name>.ticks / .advanced. The family
+/// is registered once; each owner of labels (one Fabric) takes a Block and
+/// appends one row per label under the block's own lock, so registering a
+/// label builds no name and takes no process-wide lock, and the owner
+/// ticks slots no other block shares. Names are built only by snapshots
+/// (counters(), write_chrome_trace), which sum each name over the live
+/// blocks and the family's retired totals. A destroyed Block folds its rows
+/// into the retired totals, per label, under the family lock once.
+class CounterFamily {
+ public:
+  CounterFamily(std::string prefix, std::vector<std::string> fields);
+  CounterFamily(const CounterFamily&) = delete;
+  CounterFamily& operator=(const CounterFamily&) = delete;
+
+  [[nodiscard]] const std::vector<std::string>& fields() const {
+    return fields_;
+  }
+
+  /// One owner's rows: one zeroed Counter per field per appended label, in
+  /// stable storage. Appending is the only mutation and belongs to the
+  /// owning thread, which therefore reads rows without the lock; the lock
+  /// orders appends against snapshots on other threads.
+  class Block {
+   public:
+    explicit Block(CounterFamily& family);
+    ~Block();
+    Block(const Block&) = delete;
+    Block& operator=(const Block&) = delete;
+
+    /// Append a row labeled `label`; returns its index (0, 1, ...).
+    std::size_t add(std::string label);
+
+    [[nodiscard]] Counter& at(std::size_t row, std::size_t field) {
+      return slots_[row * nfields_ + field];
+    }
+    [[nodiscard]] const std::string& label(std::size_t row) const {
+      return labels_[row];
+    }
+
+   private:
+    friend class CounterFamily;
+
+    CounterFamily& family_;
+    const std::size_t nfields_;
+    std::mutex mu_;
+    std::deque<std::string> labels_;
+    std::deque<Counter> slots_;  // nfields_ per row, row-major
+  };
+
+ private:
+  friend Counter& counter(const std::string& name);
+  friend std::map<std::string, std::uint64_t> counters();
+  friend void reset();
+
+  struct LabelHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  /// Retired-total row of `label` (created zeroed on first use). Needs mu_.
+  std::size_t retired_row(std::string_view label);
+  /// The retired total `name` denotes, or null if the family does not
+  /// cover `name`.
+  Counter* retired_counter(std::string_view name);
+  /// Add every name's value (live blocks + retired) into `out`.
+  void snapshot(std::map<std::string, std::uint64_t>& out);
+  /// Zero every live and retired value; rows and labels stay.
+  void zero();
+
+  const std::string prefix_;
+  const std::vector<std::string> fields_;
+  std::mutex mu_;  // guards blocks_ and the retired totals
+  std::vector<Block*> blocks_;
+  std::unordered_map<std::string, std::size_t, LabelHash, std::equal_to<>>
+      retired_rows_;
+  std::deque<Counter> retired_;  // fields_.size() per row, row-major
+};
+
+/// Look up (creating on first use) the family with `prefix`; every caller
+/// must pass the same `fields` (std::invalid_argument otherwise). The
+/// reference is stable for the process lifetime.
+CounterFamily& counter_family(const std::string& prefix,
+                              std::vector<std::string> fields);
 
 /// Snapshot of every registered counter / histogram mean (name -> value).
 std::map<std::string, std::uint64_t> counters();

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/transmission_policy.hpp"
 #include "fabric/fabric.hpp"
@@ -167,6 +169,76 @@ TEST(Fabric, ConnectionTenantsTickThroughRegistry) {
   EXPECT_EQ(ctr("fabric.tenants") - tenants0, 12u);
   EXPECT_GE(ctr("fabric.tenant.tenant0.ticks"), 2u);
   EXPECT_GE(ctr("fabric.tenant.tenant0.advanced"), 2u);
+}
+
+TEST(Fabric, SameTenantNameSumsOverRankFabricsAndOutlivesThem) {
+  // Every rank's Fabric registers the same tenant names, so each name's
+  // snapshot value is the sum over the ranks' fabrics, live and after they
+  // are destroyed. A watcher thread snapshots the registry all along (the
+  // TSan job checks registration and ticks against it).
+  const int m = 2, n = 2;
+  constexpr int kTenants = 3, kTicks = 4;
+  auto src_desc =
+      dad::make_regular(std::vector<AxisDist>{AxisDist::block(12, m)});
+  auto dst_desc =
+      dad::make_regular(std::vector<AxisDist>{AxisDist::block(12, n)});
+  auto name_of = [](int t, const char* field) {
+    return "fabric.tenant.summed" + std::to_string(t) + field;
+  };
+  auto value = [](const std::map<std::string, std::uint64_t>& snap,
+                  const std::string& name) -> std::uint64_t {
+    const auto it = snap.find(name);
+    return it == snap.end() ? 0 : it->second;
+  };
+  const auto before = trace::counters();
+  std::map<std::string, std::uint64_t> during;
+  std::atomic<bool> done{false};
+  std::atomic<int> snapshots{0};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      (void)trace::counters();
+      snapshots.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  rt::spawn(m + n, [&](rt::Communicator& world) {
+    auto mxn = core::make_paired_mxn(world, m, n);
+    const int side = world.rank() < m ? 0 : 1;
+    auto cohort = world.split(side, world.rank());
+    dad::DistArray<double> arr(side == 0 ? src_desc : dst_desc,
+                               cohort.rank());
+    if (side == 0) arr.fill(value_at);
+    mxn->register_field(core::make_field(
+        "f", &arr,
+        side == 0 ? core::AccessMode::Read : core::AccessMode::Write));
+    fabric::Fabric fab;
+    for (int t = 0; t < kTenants; ++t) {
+      core::ConnectionSpec spec;
+      spec.src_field = spec.dst_field = "f";
+      spec.src_side = 0;
+      spec.one_shot = false;
+      fab.add_connection("summed" + std::to_string(t), mxn,
+                         mxn->establish(spec));
+    }
+    for (int k = 0; k < kTicks; ++k)
+      EXPECT_EQ(fab.drain_tick(), static_cast<std::size_t>(kTenants));
+    world.barrier();
+    if (world.rank() == 0) during = trace::counters();
+    world.barrier();
+  });
+  done = true;
+  watcher.join();
+  EXPECT_GT(snapshots.load(), 0);
+  const auto after = trace::counters();
+  const std::uint64_t expect = (m + n) * kTicks;
+  for (int t = 0; t < kTenants; ++t)
+    for (const char* field : {".ticks", ".advanced"}) {
+      SCOPED_TRACE(name_of(t, field));
+      const std::string name = name_of(t, field);
+      EXPECT_EQ(value(during, name) - value(before, name), expect);
+      EXPECT_EQ(value(after, name) - value(before, name), expect);
+      EXPECT_EQ(ctr(name) - value(before, name), expect);
+    }
 }
 
 TEST(Fabric, PolicySelectionFollowsSpecAndCanBeOverridden) {

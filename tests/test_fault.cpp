@@ -122,6 +122,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(rt::FaultPlan::parse("drop=abc"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("drop=0.5x"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("drop=1.5"), rt::UsageError);
+  EXPECT_THROW(rt::FaultPlan::parse("drop=nan"), rt::UsageError);
+  EXPECT_THROW(rt::FaultPlan::parse("dup=nan"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("dup=-0.1"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("kill=2"), rt::UsageError);
   EXPECT_THROW(rt::FaultPlan::parse("kill=2@"), rt::UsageError);

@@ -151,6 +151,15 @@ TEST(SidlParser, BadArrayDimRejected) {
                    "package p { interface I { void f(in array<double,9> x); "
                    "} }"),
                sidl::ParseError);
+  // Out of int range: a parse error, not an escaping std::out_of_range.
+  EXPECT_THROW(sidl::parse_package(
+                   "package p { interface I { void f(in array<double, "
+                   "99999999999> x); } }"),
+               sidl::ParseError);
+  EXPECT_THROW(sidl::parse_package(
+                   "package p { interface I { void f(in array<double,2.5> x); "
+                   "} }"),
+               sidl::ParseError);
   EXPECT_THROW(sidl::parse_package(
                    "package p { interface I { void f(in array<string,1> x); "
                    "} }"),

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/erased_exec.hpp"
 #include "dad/dist_array.hpp"
@@ -97,6 +101,83 @@ TEST_F(TraceTest, CounterAccumulates) {
   EXPECT_EQ(trace::counter("t.acc").value(), 7u);
   trace::reset();
   EXPECT_EQ(c.value(), 0u);  // reference stays valid across reset
+}
+
+TEST_F(TraceTest, CounterFamilySumsBlocksByNameAndKeepsRetiredValues) {
+  auto& fam = trace::counter_family("t.fam.", {".a", ".b"});
+  EXPECT_EQ(&trace::counter_family("t.fam.", {".a", ".b"}), &fam);
+  EXPECT_THROW(trace::counter_family("t.fam.", {".a"}), std::invalid_argument);
+  {
+    trace::CounterFamily::Block one(fam), two(fam);
+    EXPECT_EQ(one.add("x"), 0u);
+    EXPECT_EQ(one.add("y"), 1u);
+    EXPECT_EQ(two.add("x"), 0u);
+    EXPECT_EQ(one.label(1), "y");
+    one.at(0, 0).add(3);
+    one.at(1, 1).add(5);
+    two.at(0, 0).add(4);
+    // Names are built by the snapshot; a label shared by two blocks is
+    // summed over them.
+    const auto live = trace::counters();
+    EXPECT_EQ(live.at("t.fam.x.a"), 7u);
+    EXPECT_EQ(live.at("t.fam.x.b"), 0u);
+    EXPECT_EQ(live.at("t.fam.y.a"), 0u);
+    EXPECT_EQ(live.at("t.fam.y.b"), 5u);
+    EXPECT_EQ(live.count("t.fam.z.a"), 0u);
+  }
+  // Both blocks folded into the retired totals, which counter() resolves
+  // to; later blocks of the same label add on top.
+  EXPECT_EQ(trace::counters().at("t.fam.x.a"), 7u);
+  auto& retired_x = trace::counter("t.fam.x.a");
+  EXPECT_EQ(retired_x.value(), 7u);
+  EXPECT_EQ(trace::counter("t.fam.y.b").value(), 5u);
+  {
+    trace::CounterFamily::Block three(fam);
+    three.at(three.add("x"), 0).add(1);
+    EXPECT_EQ(trace::counters().at("t.fam.x.a"), 8u);
+    EXPECT_EQ(retired_x.value(), 7u);  // live values are not retired yet
+  }
+  EXPECT_EQ(retired_x.value(), 8u);
+  trace::reset();
+  EXPECT_EQ(retired_x.value(), 0u);
+  EXPECT_EQ(trace::counters().at("t.fam.y.b"), 0u);
+}
+
+TEST_F(TraceTest, CounterFamilySnapshotsRaceAppendsTicksAndFolds) {
+  // Owner threads append, tick and drop blocks while another thread keeps
+  // snapshotting (run under TSan in CI).
+  auto& fam = trace::counter_family("t.race.", {".n"});
+  constexpr int kOwners = 3, kLabels = 64, kRounds = 4;
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      // Each row counts once, live or retired: never above the final sum.
+      const auto snap = trace::counters();
+      const auto it = snap.find("t.race.l0.n");
+      if (it != snap.end()) {
+        EXPECT_LE(it->second, static_cast<std::uint64_t>(kOwners * kRounds));
+      }
+      std::this_thread::yield();
+    }
+  });
+  // append, not "l" + ...: g++-12 -O2 flags the latter with -Wrestrict.
+  auto label = [](int l) { return std::string("l").append(std::to_string(l)); };
+  std::vector<std::thread> owners;
+  for (int o = 0; o < kOwners; ++o)
+    owners.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        trace::CounterFamily::Block block(fam);
+        for (int l = 0; l < kLabels; ++l)
+          block.at(block.add(label(l)), 0).add(1);
+      }
+    });
+  for (auto& t : owners) t.join();
+  done = true;
+  watcher.join();
+  const auto snap = trace::counters();
+  for (int l = 0; l < kLabels; ++l)
+    EXPECT_EQ(snap.at(std::string("t.race.").append(label(l)).append(".n")),
+              static_cast<std::uint64_t>(kOwners * kRounds));
 }
 
 TEST_F(TraceTest, HistogramLog2Buckets) {
